@@ -6,8 +6,6 @@
 #                          Session, with DeprecationWarning promoted to error
 #                          (proves the new path avoids the legacy front doors)
 #   make campaign-smoke    tiny campaign -> kill -> resume -> query (store path)
-#   make shard-smoke       2-shard campaign: store rows match a serial full-grid
-#                          run, front bit-identical to the unsharded twin
 #   make physical-smoke    two-design flow with macro reuse on: >= 1 macro
 #                          cache hit and byte-identical GDSII vs reuse-off
 #   make template-smoke    three neighbouring designs: columns derived from
@@ -52,7 +50,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke api-smoke campaign-smoke shard-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke surrogate-bench surrogate-bench-smoke bench bench-quick ci
+.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke surrogate-bench surrogate-bench-smoke bench bench-quick ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,9 +63,6 @@ api-smoke:
 
 campaign-smoke:
 	$(PYTHON) examples/campaign_smoke.py
-
-shard-smoke:
-	$(PYTHON) examples/shard_smoke.py
 
 physical-smoke:
 	$(PYTHON) examples/physical_smoke.py
@@ -123,4 +118,4 @@ bench-quick:
 bench:
 	$(PYTHON) benchmarks/bench_engine_scaling.py
 
-ci: test smoke api-smoke campaign-smoke shard-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke surrogate-bench-smoke
+ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke surrogate-bench-smoke

@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
-"""Scaling benchmark of the unified evaluation engine.
+"""Scaling benchmark of the evaluation engine's process pool.
 
-Two experiments, mirroring the two regimes the engine serves:
+Analytic evaluation always runs inline (one vectorized call beats any
+dispatch), so the one parallel path left to measure is ``engine.map`` —
+the generic process-pool fan-out:
 
-1. **Analytic throughput** — evaluations/sec of the closed-form estimation
-   model for batch sizes {1, 32, 256} x backends {serial, thread, process}.
-   One analytic evaluation costs ~20 us, so this regime quantifies the
-   engine's dispatch overhead: serial wins (and that is the documented
-   recommendation in docs/engine.md), and the matrix records by how much.
-
-2. **High-fidelity 16 kb exhaustive sweep** — every feasible design point
+1. **High-fidelity 16 kb exhaustive sweep** — every feasible design point
    of the paper's 16 kb design space evaluated with the behavioral
    Monte-Carlo SNR harness (tens of milliseconds per point, the cost
    regime of SPICE-backed or simulation-backed evaluation).  Here the
-   ``process`` backend must deliver >= 2x over ``serial`` with 4 workers;
-   the script asserts it, and also asserts that NSGA-II with a fixed seed
-   returns the bit-identical Pareto set under serial and process backends.
+   ``process`` backend must deliver >= 2x over ``serial``; the script
+   asserts it on multi-core hosts.
+2. **Determinism** — NSGA-II with a fixed seed must return the
+   bit-identical Pareto set under the serial and process backends.
 
 Run with::
 
@@ -43,77 +40,10 @@ from repro.dse.explorer import _ExplorerCore as DesignSpaceExplorer
 from repro.dse.nsga2 import NSGA2Config
 from repro.dse.pareto import pareto_front
 from repro.engine import EvaluationCache, EvaluationEngine
-from repro.model.estimator import ACIMEstimator
 from repro.sim.montecarlo import measure_many
 
 ARRAY_SIZE = 16 * 1024
-BATCH_SIZES = (1, 32, 256)
-BACKENDS = ("serial", "thread", "process")
-
-
-def _spec_pool(count: int):
-    """At least ``count`` feasible specs, cycling several array sizes."""
-    specs = []
-    size = ARRAY_SIZE
-    while len(specs) < count:
-        specs.extend(enumerate_design_space(size))
-        size //= 2
-        if size < 64:
-            size = ARRAY_SIZE * 2
-    return specs[:count]
-
-
-def analytic_throughput(workers: int, repeats: int = 3) -> tuple:
-    """Evaluations/sec of the analytic model per (batch size, backend).
-
-    Returns ``(matrix, splits, metrics)``: ``splits`` holds the
-    per-backend timing decomposition (dispatch / worker / serialize
-    seconds) of the largest-batch runs — the numbers that show *where* a
-    backend's time goes, not just how fast it went — and ``metrics`` is
-    each backend's full engine metric snapshot (the
-    ``docs/observability.md`` catalogue) at the end of its runs.
-    """
-    estimator = ACIMEstimator()
-    matrix = {}
-    splits = {}
-    metrics = {}
-    largest = max(BATCH_SIZES)
-    # One long-lived engine per backend, reused across batch sizes — the
-    # deployment shape the persistent worker pool is built for (spawn
-    # once, amortize forever).  It also keeps process-pool teardown out of
-    # every other cell's timing window, which matters on 1-core CI hosts.
-    for backend in BACKENDS:
-        with EvaluationEngine(
-            backend, workers=workers, cache=EvaluationCache()
-        ) as engine:
-            # Warm up off-clock through the real path: this spawns the
-            # persistent shared-memory worker pool (``engine.map`` only
-            # primes the generic executor) and seeds the engine's cost
-            # model so the auto-chunker plans realistic chunks.
-            engine.evaluate_specs(estimator, _spec_pool(largest))
-            for batch_size in BATCH_SIZES:
-                specs = _spec_pool(batch_size)
-                best = float("inf")
-                for _ in range(repeats):
-                    engine.cache.clear()
-                    start = time.perf_counter()
-                    engine.evaluate_specs(estimator, specs)
-                    best = min(best, time.perf_counter() - start)
-                matrix[f"batch{batch_size}_{backend}"] = round(
-                    batch_size / best, 1
-                )
-                if batch_size == largest:
-                    stats = engine.stats.as_dict()
-                    splits[backend] = {
-                        key: stats[key]
-                        for key in (
-                            "dispatch_seconds",
-                            "worker_seconds",
-                            "serialize_seconds",
-                        )
-                    }
-            metrics[backend] = engine.metrics.snapshot()
-    return matrix, splits, metrics
+BACKENDS = ("serial", "process")
 
 
 def _noop(value):
@@ -172,9 +102,6 @@ def pareto_determinism(workers: int, seed: int = 11) -> dict:
             raise AssertionError(
                 f"{backend} backend produced a different Pareto set"
             )
-    # A sharded campaign must land on the same front as its unsharded
-    # twin: pre-warming the store cannot perturb the optimiser.
-    sharded_identical = _sharded_front_matches(workers, seed)
     # Cross-check against the exhaustively computed true frontier.
     designs = evaluate_all(ARRAY_SIZE)
     true_front = {
@@ -185,38 +112,9 @@ def pareto_determinism(workers: int, seed: int = 11) -> dict:
     return {
         "seed": seed,
         "backends_identical": True,
-        "sharded_identical": sharded_identical,
         "front_size": len(reference),
         "true_front_recall": round(len(found & true_front) / len(true_front), 3),
     }
-
-
-def _sharded_front_matches(workers: int, seed: int) -> bool:
-    """Sharded vs unsharded campaign fronts at a fixed seed (must match)."""
-    import tempfile
-
-    from repro.engine import reset_shared_cache
-    from repro.store import ResultStore
-    from repro.store.campaign import _CampaignManagerCore
-
-    config = NSGA2Config(population_size=32, generations=10, seed=seed)
-    fronts = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, shards in (("plain", None), ("sharded", 2)):
-            reset_shared_cache()
-            with ResultStore(Path(tmp) / f"{label}.sqlite") as store:
-                result = _CampaignManagerCore(store).run(
-                    label, ARRAY_SIZE, config=config, shards=shards
-                )
-            fronts.append(sorted(
-                (design.spec.as_tuple(), design.objectives)
-                for design in result.pareto_set
-            ))
-    if fronts[0] != fronts[1]:
-        raise AssertionError(
-            "sharded campaign produced a different Pareto set"
-        )
-    return True
 
 
 def main(argv=None) -> int:
@@ -244,36 +142,21 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
     }
 
-    print(f"[1/3] analytic throughput (batch x backend, {args.workers} workers)")
-    matrix, splits, metric_snapshots = analytic_throughput(args.workers)
-    record["analytic_evals_per_sec"] = matrix
-    record["analytic_timing_splits"] = splits
-    record["metrics"] = metric_snapshots
-    for key, value in matrix.items():
-        print(f"    {key:>18}: {value:>12.1f} evals/s")
-    for backend, split in splits.items():
-        parts = ", ".join(f"{k.split('_')[0]} {v:.4f}s" for k, v in split.items())
-        print(f"    batch{max(BATCH_SIZES)} {backend} splits: {parts}")
-
-    print(f"[2/3] high-fidelity 16 kb exhaustive sweep ({trials} MC trials)")
+    print(f"[1/2] high-fidelity 16 kb exhaustive sweep ({trials} MC trials)")
     record["high_fidelity"] = high_fidelity_sweep(
         args.workers, trials, args.mc_columns
     )
     for key, value in record["high_fidelity"].items():
         print(f"    {key:>22}: {value}")
 
-    print("[3/3] fixed-seed Pareto determinism across backends")
+    print("[2/2] fixed-seed Pareto determinism across backends")
     record["determinism"] = pareto_determinism(args.workers)
     for key, value in record["determinism"].items():
         print(f"    {key:>22}: {value}")
 
     speedup = record["high_fidelity"]["process_speedup"]
-    analytic_speedup = round(
-        matrix[f"batch{max(BATCH_SIZES)}_process"]
-        / matrix[f"batch{max(BATCH_SIZES)}_serial"], 2
-    )
-    # The 2x gates need parallel hardware: on a single-core host every
-    # backend is serialized by the scheduler, so they are recorded as
+    # The 2x gate needs parallel hardware: on a single-core host every
+    # backend is serialized by the scheduler, so it is recorded as
     # skipped rather than failed (determinism is still enforced above).
     gate_applies = cores >= 2 and not args.no_assert
     record["speedup_gate"] = {
@@ -281,29 +164,18 @@ def main(argv=None) -> int:
         "enforced": gate_applies,
         "passed": speedup >= 2.0 if gate_applies else None,
     }
-    # The shared-memory pool must also beat serial on the *cheap* path:
-    # vectorized analytic evaluations at batch 256, the regime the old
-    # pickling executor lost outright.
-    record["analytic_speedup_gate"] = {
-        "batch": max(BATCH_SIZES),
-        "process_vs_serial": analytic_speedup,
-        "threshold": 2.0,
-        "enforced": gate_applies,
-        "passed": analytic_speedup >= 2.0 if gate_applies else None,
-    }
     if gate_applies and speedup < 2.0:
         print(f"FAIL: high-fidelity process speedup {speedup:.2f}x < 2x gate")
         return 1
-    if gate_applies and analytic_speedup < 2.0:
-        print(f"FAIL: analytic batch{max(BATCH_SIZES)} process speedup "
-              f"{analytic_speedup:.2f}x < 2x gate")
-        return 1
-    gate_note = "gates: 2x" if gate_applies else (
-        f"gates skipped: {cores} CPU core(s), no parallel hardware")
-    print(f"OK: process speedup {speedup:.2f}x high-fidelity, "
-          f"{analytic_speedup:.2f}x analytic batch{max(BATCH_SIZES)} "
+    if gate_applies:
+        gate_note = "gate: 2x"
+    elif args.no_assert:
+        gate_note = "gate not enforced: --no-assert"
+    else:
+        gate_note = f"gate skipped: {cores} CPU core(s), no parallel hardware"
+    print(f"OK: process speedup {speedup:.2f}x high-fidelity "
           f"({gate_note}), Pareto sets bit-identical across "
-          f"{', '.join(BACKENDS)} + sharded")
+          f"{', '.join(BACKENDS)}")
 
     if not args.quick:
         args.json.write_text(json.dumps(record, indent=2) + "\n")

@@ -40,7 +40,7 @@ from repro.reporting.physical import physical_stats_table
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--backend", choices=("serial", "thread", "process"),
+    parser.add_argument("--backend", choices=("serial", "process"),
                         default=None,
                         help="evaluation-engine backend (default: serial, "
                              "or process when --workers is given)")

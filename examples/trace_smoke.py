@@ -8,7 +8,7 @@ target):
 2. assert the file parses as the Chrome trace format (the document
    Perfetto / chrome://tracing loads);
 3. assert the trace nests spans from at least three layers — the API
-   root span, engine dispatch/batch spans, per-chunk evaluation spans
+   root span, engine batch spans, per-chunk evaluation spans
    and physical-pipeline stage spans — and that every parent id resolves
    inside the file;
 4. assert timestamps are sane (non-negative durations, start <= end).
@@ -82,7 +82,7 @@ def run() -> int:
         print(
             f"OK: {len(events)} spans across {len(names)} names, "
             f"{roots} roots, all parents resolve "
-            f"(layers: api + engine dispatch + chunk + physical stages)"
+            f"(layers: api + engine batch + chunk + physical stages)"
         )
     return 0
 

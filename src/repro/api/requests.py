@@ -355,10 +355,6 @@ class CampaignRequest(ApiRequest):
         checkpoint_every: commit a snapshot every N generations.
         stop_after: stop (checkpointed, resumable) after N generations in
             this call — the programmatic equivalent of killing the process.
-        shards: pre-warm the store by evaluating the feasible design grid
-            across N worker processes before optimising (``run`` only;
-            needs a file-backed store).  Results are bit-identical to the
-            unsharded run.
         surrogate: evaluation mode (``run`` only; ``resume`` replays the
             stored mode): ``off``, ``screen`` or ``refine`` — see
             :class:`ExploreRequest`.
@@ -376,7 +372,6 @@ class CampaignRequest(ApiRequest):
     seed: int = 1
     checkpoint_every: int = 1
     stop_after: Optional[int] = None
-    shards: Optional[int] = None
     surrogate: str = "off"
     screen_fraction: float = 0.25
 
@@ -395,12 +390,6 @@ class CampaignRequest(ApiRequest):
         if self.checkpoint_every < 1:
             raise StoreError("checkpoint_every must be at least 1")
         _require_optional_int("stop_after", self.stop_after, 1)
-        _require_optional_int("shards", self.shards, 1)
-        if self.shards is not None and self.action != "run":
-            raise RequestError(
-                "shards only applies to 'run' (a resumed campaign's grid "
-                "rows are already in the store)"
-            )
         _validate_surrogate(self)
         if self.surrogate != "off" and self.action != "run":
             raise RequestError(

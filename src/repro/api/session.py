@@ -80,8 +80,7 @@ class SessionConfig:
     """Serializable execution settings shared by every request a session runs.
 
     Attributes:
-        backend: evaluation-engine backend (``serial``/``thread``/
-            ``process``).
+        backend: evaluation-engine backend (``serial``/``process``).
         workers: engine pool size (None: the machine's CPU count).
         store: path of the persistent SQLite result store (None: no
             persistence; campaigns and queries then require a store to be
@@ -528,7 +527,6 @@ class Session:
                     workers=self.config.workers,
                 ),
                 stop_after_generations=request.stop_after,
-                shards=request.shards,
                 surrogate=request.surrogate,
                 screen_fraction=request.screen_fraction,
             )
@@ -540,7 +538,6 @@ class Session:
             "total_generations": outcome.total_generations,
             "evaluations": outcome.evaluations,
             "resumed": outcome.resumed,
-            "shards": outcome.shard_stats.get("shards", 0),
             "pareto": [d.metrics.as_dict() for d in outcome.pareto_set],
         }
         if outcome.surrogate:

@@ -92,23 +92,6 @@ class SpecBatch:
         return cls.from_specs([spec])
 
     @classmethod
-    def from_columns(cls, columns: Sequence[np.ndarray]) -> "SpecBatch":
-        """A batch over four existing ``(H, W, L, B_ADC)`` columns.
-
-        The inverse of :meth:`columns`.  Contiguous int64 input columns —
-        including views over ``multiprocessing.shared_memory`` buffers,
-        which is how pool workers receive their work — are adopted
-        *zero-copy*; anything else is coerced like any other construction.
-        """
-        height, width, local_array_size, adc_bits = columns
-        return cls(
-            height=height,
-            width=width,
-            local_array_size=local_array_size,
-            adc_bits=adc_bits,
-        )
-
-    @classmethod
     def concat(cls, batches: Iterable["SpecBatch"]) -> "SpecBatch":
         """Concatenate several batches, preserving order."""
         batches = list(batches)

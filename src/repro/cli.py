@@ -257,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--seed", type=int, default=1)
     campaign_run.add_argument("--checkpoint-every", type=int, default=1,
                               help="commit a snapshot every N generations")
-    campaign_run.add_argument("--shards", type=int, default=None,
-                              help="pre-warm the store by evaluating the "
-                                   "feasible design grid across N worker "
-                                   "processes before optimising "
-                                   "(file-backed store required)")
     campaign_run.add_argument("--surrogate",
                               choices=list(CampaignRequest.SURROGATE_MODES),
                               default="off",
@@ -580,10 +575,6 @@ def _cmd_library(args: argparse.Namespace) -> int:
 def _print_campaign_outcome(result: ApiResult, engine_stats: bool) -> None:
     outcome = result.artifacts["result"]
     print(format_table([outcome.as_dict()]))
-    if outcome.shard_stats:
-        print(f"Pre-warmed {outcome.shard_stats['points']} grid points "
-              f"across {outcome.shard_stats['shards']} shard processes "
-              f"({outcome.shard_stats['store_writes']} new store rows).")
     if outcome.surrogate:
         print(f"Surrogate ({outcome.surrogate['mode']}): "
               f"{outcome.surrogate['exact_candidates']} exact + "
@@ -611,7 +602,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
         stop_after=args.stop_after,
-        shards=args.shards,
         surrogate=args.surrogate,
         screen_fraction=args.screen_fraction,
     )

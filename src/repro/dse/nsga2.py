@@ -68,9 +68,11 @@ class NSGA2Config:
             (otherwise it is a copy of one parent before mutation).
         mutation_probability: probability the child genome is mutated.
         seed: random seed for reproducibility.
-        backend: evaluation-engine backend (``serial``/``thread``/``process``)
-            used for population batches.  Evaluation never consumes the RNG,
-            so every backend produces the identical evolution for a seed.
+        backend: evaluation-engine backend (``serial``/``process``).
+            Population batches are always evaluated inline; the backend
+            only decides whether the engine's ``map`` fans out to a process
+            pool.  Evaluation never consumes the RNG, so every backend
+            produces the identical evolution for a seed.
         workers: engine pool size (None: the machine's CPU count).
     """
 

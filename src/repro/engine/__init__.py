@@ -1,11 +1,12 @@
-"""Unified evaluation engine: batched, parallel, cached design evaluation.
+"""Unified evaluation engine: batched, cached design evaluation.
 
 Every evaluation consumer in the repository — the NSGA-II explorer, the
 exhaustive baseline, the sensitivity analyzer, the flow controller's
 netlist/layout fan-out and the scaling benchmarks — routes through
-:class:`EvaluationEngine`, which pairs a pluggable executor backend
-(``serial`` / ``thread`` / ``process``) with a bounded shared memoization
-cache keyed by ``(spec, model-params, tech)``.
+:class:`EvaluationEngine`, which evaluates analytic specs inline against a
+bounded shared memoization cache keyed by ``(spec, model-params, tech)``
+and fans generic work out through ``map`` on one process pool (backend
+``serial`` or ``process``).
 
 See ``docs/engine.md`` for backend selection and cache semantics.
 """
@@ -20,18 +21,13 @@ from repro.engine.cache import (
 from repro.engine.engine import EngineStats, EvaluationEngine, default_engine
 from repro.engine.executors import BACKENDS, resolve_workers, validate_backend
 from repro.engine.screen import ScreeningEvaluator
-from repro.engine.shm import BatchRef, SharedArena
-from repro.engine.workers import PersistentWorkerPool
 
 __all__ = [
     "BACKENDS",
-    "BatchRef",
     "EngineStats",
     "EvaluationCache",
     "EvaluationEngine",
-    "PersistentWorkerPool",
     "ScreeningEvaluator",
-    "SharedArena",
     "default_engine",
     "parameters_cache_key",
     "reset_shared_cache",

@@ -154,32 +154,16 @@ class EngineError(ReproError):
 
 
 class WorkerCrashError(EngineError):
-    """A persistent pool worker died mid-submission.
+    """A process-pool worker died mid-call.
 
-    Raised instead of hanging when a worker process exits abnormally
-    (segfault, OOM kill, ``kill -9``) while shard ranges are still
-    outstanding.  The engine tears the broken pool down and rebuilds it on
-    the next submission, so the crash is not sticky.
-
-    Args:
-        message: human-readable summary.
-        failed_ranges: the ``(lo, hi)`` row ranges of the published batch
-            whose results never arrived.
+    Raised by :meth:`repro.engine.EvaluationEngine.map` instead of the
+    executor's sticky ``BrokenProcessPool`` when a worker process exits
+    abnormally (segfault, OOM kill, ``os._exit``).  The engine drops the
+    broken pool and rebuilds it on the next call, so the crash fails one
+    call, not the engine.
     """
 
     code = "worker-crash"
-
-    def __init__(
-        self, message: str, failed_ranges: Sequence[tuple] = ()
-    ) -> None:
-        super().__init__(message)
-        self.failed_ranges = [tuple(r) for r in failed_ranges]
-
-    def as_dict(self) -> Dict:
-        """Structured record including the unfinished shard ranges."""
-        record = super().as_dict()
-        record["failed_ranges"] = [list(r) for r in self.failed_ranges]
-        return record
 
 
 class StoreError(ReproError):

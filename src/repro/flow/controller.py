@@ -68,8 +68,9 @@ class FlowInputs:
         nsga2: explorer configuration.
         model: estimation-model parameters.
         max_layouts: cap on how many distilled solutions get full layouts.
-        backend: evaluation-engine backend (``serial``/``thread``/``process``)
-            used for exploration batches and the netlist/layout fan-out.
+        backend: evaluation-engine backend (``serial``/``process``): with
+            ``process`` the netlist/layout fan-out runs on a process pool
+            (exploration batches are evaluated inline either way).
             When left at ``serial`` while ``nsga2.backend`` requests a
             parallel backend, the optimizer's choice drives the whole flow.
         workers: engine pool size (None: ``nsga2.workers``, else CPU count).
@@ -180,7 +181,7 @@ def _generate_solution_artifacts(task):
     """Fan-out work unit: netlist + layout for one distilled solution.
 
     Module-level (and argument-picklable) so the ``process`` backend can
-    ship it to pool workers; the serial and thread backends run it as-is.
+    ship it to pool workers; the serial backend runs it as-is.
     Rebuilding the generators from the library is trivial next to the
     layout generation itself.  Returns ``(spec_tuple, netlist | None,
     layout_report | None)``.

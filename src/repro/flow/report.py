@@ -94,17 +94,13 @@ def engine_stats_table(stats: Dict[str, float]) -> List[Dict]:
     Consumes the ``engine_stats`` attached to :class:`ExplorationResult`
     and :class:`FlowResult`; column order keeps the throughput figures
     (evaluations/sec) next to the cache effectiveness (hits vs computed).
-    The timing splits make backend overhead visible in the report itself:
-    ``worker_s`` is aggregate in-worker compute, ``dispatch_s`` is parent
-    wall-clock not explained by ideally-parallel workers (scheduling and
-    queueing), ``serialize_s`` is shared-memory publish/collect time —
-    when ``dispatch_s`` rivals ``worker_s``, the batches are too cheap
-    for the parallel backend and serial wins.
+    ``worker_s`` is the model's own compute time inside ``busy_s``; the
+    rest of ``busy_s`` is keying, caching and store bookkeeping.
 
-    Timing cells are defensively clamped: a near-empty batch can yield a
-    slightly negative ``dispatch_seconds`` through clock rounding, and a
-    zero or missing ``busy_seconds`` must never divide — both render as
-    ``0.0`` instead of raising or printing ``-0.00``.
+    Timing cells are defensively clamped: a negative or non-numeric
+    timing and a zero or missing ``busy_seconds`` must never divide or
+    print — both render as ``0.0`` instead of raising or printing
+    ``-0.00``.
     """
     if not stats:
         return []
@@ -127,9 +123,7 @@ def engine_stats_table(stats: Dict[str, float]) -> List[Dict]:
         "store_hits": stats.get("store_hits", 0),
         "store_writes": stats.get("store_writes", 0),
         "busy_s": busy,
-        "dispatch_s": _clamped_seconds(stats.get("dispatch_seconds", 0.0)),
         "worker_s": _clamped_seconds(stats.get("worker_seconds", 0.0)),
-        "serialize_s": _clamped_seconds(stats.get("serialize_seconds", 0.0)),
         "evals_per_s": evals_per_s,
     }
     # Surrogate-screening counters appear only when screening actually ran,

@@ -10,15 +10,15 @@ targets the engine's execution model:
   allocating, so instrumentation stays in the hot paths permanently (the
   overhead regression test bounds the per-call cost).
 * **Thread-safe nesting.**  The current-span stack is thread-local, so
-  thread-backend chunks each build their own ancestry while recording
-  into one shared, lock-protected buffer.
-* **Cross-process collection.**  Workers in
-  :mod:`repro.engine.workers` time their chunks with the same
-  ``time.perf_counter_ns()`` clock (CLOCK_MONOTONIC is system-wide on
-  Linux, and workers are forked from the parent), record plain span
-  dictionaries, and ship them back on the result queue; the parent
-  re-parents them under its dispatch span with :meth:`Tracer.adopt`, so
-  one trace covers parent dispatch *and* per-chunk worker compute.
+  concurrent threads (a server's job workers) each build their own
+  ancestry while recording into one shared, lock-protected buffer.
+* **Cross-process collection.**  ``engine.map`` items running in pool
+  workers are timed with the same ``time.perf_counter_ns()`` clock
+  (CLOCK_MONOTONIC is system-wide on Linux, and workers are forked from
+  the parent); their finished spans travel back as plain dictionaries
+  with the results and the parent re-parents them under its
+  ``engine.map`` span with :meth:`Tracer.adopt`, so one trace covers the
+  parent *and* the per-item worker compute.
 * **Bounded memory.**  The buffer holds at most ``max_spans`` records;
   overflow increments :attr:`Tracer.dropped` instead of growing without
   bound.
@@ -50,7 +50,7 @@ class Span:
     """One named, timed interval with ancestry and attributes.
 
     Attributes:
-        name: span name (dotted lowercase, e.g. ``engine.chunk``).
+        name: span name (dotted lowercase, e.g. ``engine.map``).
         span_id: unique id (``<pid hex>-<counter hex>``).
         parent_id: enclosing span's id, or ``None`` for a root span.
         start_ns / end_ns: ``time.perf_counter_ns()`` interval
@@ -267,7 +267,7 @@ class Tracer:
         worker-side hierarchy (e.g. physical-pipeline stages nested under
         a map item) keeps its internal links — and every adopted root is
         re-parented under ``parent_id``, so worker spans nest under the
-        parent's dispatch span.
+        parent's ``engine.map`` span.
         """
         adopted: List[Span] = []
         for record in records:
@@ -322,21 +322,3 @@ def configure_tracing(
         tracer.enable()
     return tracer
 
-
-def worker_span_record(
-    name: str, start_ns: int, end_ns: int, **attrs
-) -> Dict:
-    """A plain span dictionary a worker process ships back for adoption.
-
-    Workers never touch the parent's tracer object — they return these
-    records on the result queue and the parent calls
-    :meth:`Tracer.adopt`.
-    """
-    return {
-        "name": name,
-        "start_ns": int(start_ns),
-        "end_ns": int(end_ns),
-        "pid": os.getpid(),
-        "tid": threading.get_ident(),
-        "attrs": attrs,
-    }

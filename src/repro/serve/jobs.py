@@ -100,8 +100,11 @@ class Job:
         with self._condition:
             for name, value in fields.items():
                 setattr(self, name, value)
-            self.state = state
+            # ``finished_at`` first: the queue's eviction reads ``state``
+            # without this lock, and a terminal state must never be seen
+            # without its finish time.
             self.finished_at = time.time()
+            self.state = state
             self._events.append({
                 "event": "end",
                 "state": state,
@@ -325,12 +328,20 @@ class JobQueue:
             }
 
     def _evict_finished(self) -> None:
-        """Drop the oldest finished jobs beyond the retention bound."""
+        """Drop the oldest finished jobs beyond the retention bound.
+
+        A job caught mid-finish (terminal ``state`` read before its
+        ``finished_at`` landed) is not yet a candidate: ranking it as the
+        oldest would evict the job a client is about to read.
+        """
         if len(self._jobs) <= self.retention:
             return
         finished = sorted(
-            (job for job in self._jobs.values() if job.finished),
-            key=lambda job: job.finished_at or 0.0,
+            (
+                job for job in self._jobs.values()
+                if job.finished and job.finished_at is not None
+            ),
+            key=lambda job: job.finished_at,
         )
         for job in finished[: len(self._jobs) - self.retention]:
             self._jobs.pop(job.id, None)

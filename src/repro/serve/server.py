@@ -176,6 +176,18 @@ def error_envelope(kind: str, error: BaseException) -> dict:
     ).to_dict()
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """The listener: one daemon thread per connection and a deep backlog.
+
+    socketserver's default listen backlog of 5 overflows as soon as a
+    handful of clients connect at once; the kernel then drops SYNs and
+    each dropped client stalls ~1 s in TCP retransmission.
+    """
+
+    daemon_threads = True
+    request_queue_size = 128
+
+
 class ReproServer:
     """Multi-tenant job server over one shared :class:`Session`.
 
@@ -221,7 +233,7 @@ class ReproServer:
         # flow/layout jobs serialize on this lock (everything else runs
         # concurrently on the thread-safe engine substrate).
         self._physical_lock = threading.Lock()
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_HTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._workers: list = []
         self._draining = False
@@ -235,10 +247,7 @@ class ReproServer:
         if self._httpd is not None:
             return self
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((self.config.host, self.config.port), handler)
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.1},

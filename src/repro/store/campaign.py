@@ -26,7 +26,6 @@ from repro.dse.distill import DistillationCriteria
 from repro.dse.explorer import pareto_designs_from_population
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.dse.shard import ShardSpace, prewarm_store
 from repro.dse.surrogate import SurrogateScreener, refine_seed_genomes
 from repro.engine import (
     EvaluationEngine,
@@ -78,8 +77,6 @@ class CampaignResult:
         engine_stats: evaluation-engine statistics of this call, including
             ``store_hits`` (hits served from the persistent store).
         resumed: True when this call continued from a checkpoint.
-        shard_stats: sharded pre-warm summary (``shards``, ``points``,
-            per-shard reports); empty for unsharded runs and resumes.
         surrogate: surrogate-screening summary of this call (mode,
             exact/screened candidate counts); empty when screening is off.
     """
@@ -94,7 +91,6 @@ class CampaignResult:
     runtime_seconds: float = 0.0
     engine_stats: Dict[str, float] = field(default_factory=dict)
     resumed: bool = False
-    shard_stats: Dict[str, object] = field(default_factory=dict)
     surrogate: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -164,7 +160,6 @@ class _CampaignManagerCore:
         min_height: int = 2,
         max_height: Optional[int] = None,
         stop_after_generations: Optional[int] = None,
-        shards: Optional[int] = None,
         surrogate: str = "off",
         screen_fraction: float = 0.25,
     ) -> CampaignResult:
@@ -173,14 +168,6 @@ class _CampaignManagerCore:
         ``stop_after_generations`` stops (with a committed checkpoint, so
         ``resume`` continues seamlessly) after that many generations in
         this call — the programmatic equivalent of killing the process.
-
-        ``shards=N`` (N >= 2) pre-warms the store first: N worker
-        processes split the feasible design grid into contiguous shards
-        and commit their evaluations through the concurrent-writer-safe
-        store, after which the optimisation loop runs entirely on warm
-        cache hits.  Requires a file-backed store; results are
-        bit-identical to the unsharded run (evaluation is pure and never
-        consumes optimiser RNG).
 
         ``surrogate`` selects the evaluation mode: ``"off"`` (exact
         evaluation of every candidate, the historical behaviour, kept
@@ -193,8 +180,6 @@ class _CampaignManagerCore:
             raise StoreError(
                 f"campaign {name!r} already exists; use resume() to continue"
             )
-        if shards is not None and shards < 1:
-            raise StoreError("shards must be at least 1")
         if surrogate not in ("off", "screen", "refine"):
             raise StoreError(
                 f"unknown surrogate mode {surrogate!r}; "
@@ -210,24 +195,9 @@ class _CampaignManagerCore:
             "min_height": min_height,
             "max_height": max_height,
             "checkpoint_every": self.checkpoint_every,
-            "shards": shards,
             "surrogate": surrogate,
             "screen_fraction": screen_fraction,
         }
-        shard_stats: Dict = {}
-        if shards is not None and shards > 1:
-            shard_stats = prewarm_store(
-                self.store,
-                ShardSpace(
-                    array_size=array_size,
-                    local_array_sizes=tuple(sorted(set(local_array_sizes))),
-                    max_adc_bits=max_adc_bits,
-                    min_height=min_height,
-                    max_height=max_height,
-                ),
-                self.estimator,
-                shards,
-            )
         self.store.create_campaign(
             name,
             array_size,
@@ -238,7 +208,6 @@ class _CampaignManagerCore:
         return self._drive(
             name, array_size, campaign_config,
             checkpoint=None, stop_after=stop_after_generations, resumed=False,
-            shard_stats=shard_stats,
         )
 
     def resume(
@@ -279,20 +248,13 @@ class _CampaignManagerCore:
         checkpoint: Optional[Tuple[int, Dict]],
         stop_after: Optional[int],
         resumed: bool,
-        shard_stats: Optional[Dict] = None,
     ) -> CampaignResult:
-        config = NSGA2Config(
-            **{key: campaign_config[key] for key in _NSGA2_FIELDS}
-        )
+        config = NSGA2Config(**_nsga2_fields(campaign_config))
         start = time.perf_counter()
         owns_engine = self.engine is None
         engine = self.engine or EvaluationEngine(
             config.backend, workers=config.workers, store=self.store
         )
-        if shard_stats and not owns_engine:
-            # A borrowed (session) engine hydrated before the shard
-            # workers committed; pick their fresh rows up.
-            engine.rehydrate()
         stats_baseline = engine.stats.snapshot()
         try:
             problem = ACIMDesignProblem(
@@ -447,7 +409,6 @@ class _CampaignManagerCore:
                 runtime_seconds=runtime,
                 engine_stats=stats_delta,
                 resumed=resumed,
-                shard_stats=dict(shard_stats or {}),
                 surrogate=surrogate_summary,
             )
         finally:
@@ -481,6 +442,20 @@ class _CampaignManagerCore:
             rank_by=rank_by,
             limit=limit,
         )
+
+
+def _nsga2_fields(campaign_config: Dict) -> Dict:
+    """The NSGA2Config keyword arguments a stored campaign row records.
+
+    Rows written before the ``thread`` backend was removed may still name
+    it; it maps to ``serial`` (results are backend-identical by
+    contract).  A stored ``shards`` key is simply not an NSGA-II field,
+    so it is ignored.
+    """
+    fields = {key: campaign_config[key] for key in _NSGA2_FIELDS}
+    if fields["backend"] == "thread":
+        fields["backend"] = "serial"
+    return fields
 
 
 def _snapshot(optimizer: NSGA2, screener: Optional[SurrogateScreener]) -> Dict:

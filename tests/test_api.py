@@ -163,12 +163,13 @@ class TestRequestValidation:
         with pytest.raises(StoreError):
             CampaignRequest(name="x", checkpoint_every=0).validate()
 
-    def test_campaign_shards_validated(self):
+    def test_campaign_shards_is_an_unknown_field(self):
+        # Sharded campaigns were removed: the old field now gets the
+        # standard unknown-field rejection, like any other typo.
         with pytest.raises(RequestError, match="shards"):
-            CampaignRequest(name="x", shards=0).validate()
-        with pytest.raises(RequestError, match="shards only applies"):
-            CampaignRequest(name="x", action="resume", shards=2).validate()
-        CampaignRequest(name="x", shards=2).validate()
+            request_from_dict({"kind": "campaign", "name": "x", "shards": 2})
+        with pytest.raises(TypeError):
+            CampaignRequest(name="x", shards=2)
 
     def test_small_flow_array_raises_flow_error(self):
         with pytest.raises(FlowError):
@@ -228,7 +229,7 @@ class TestApiResult:
 
 class TestSessionConfig:
     def test_round_trip(self):
-        config = SessionConfig(backend="thread", workers=2,
+        config = SessionConfig(backend="process", workers=2,
                                store="s.sqlite", cache_size=128)
         assert SessionConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))) == config
@@ -534,8 +535,8 @@ class TestCliThroughApi:
         parser = build_parser()
         args = parser.parse_args(["estimate", "--height", "16", "--width",
                                   "4", "--local", "4", "--adc-bits", "2",
-                                  "--backend", "thread", "--workers", "2"])
-        assert args.backend == "thread" and args.workers == 2
+                                  "--backend", "process", "--workers", "2"])
+        assert args.backend == "process" and args.workers == 2
         for argv in (
             ["explore", "--json"],
             ["flow", "--json"],

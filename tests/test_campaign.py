@@ -2,6 +2,7 @@
 warm starts from the persistent store, flow recording and the CLI."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -208,73 +209,34 @@ class TestCampaignResume:
         assert values == sorted(values, reverse=True)
 
 
-class TestShardedCampaign:
-    def test_sharded_front_is_bit_identical(self, store, reference_pareto):
-        # Pre-warming cannot change results: evaluation is pure and never
-        # consumes optimiser RNG, so the sharded front matches the
-        # uninterrupted serial run bit-for-bit.
-        reset_shared_cache()
-        result = _CampaignManagerCore(store).run(
-            "sharded", ARRAY_SIZE, config=CONFIG, shards=2
-        )
-        assert result.status == "completed"
-        assert _pareto_signature(result.pareto_set) == reference_pareto
-        assert result.shard_stats["shards"] == 2
-        # The shards committed exactly the feasible grid, and the
-        # optimisation leg then ran on warm store hits.
-        grid = ACIMDesignProblem(ARRAY_SIZE).feasible_batch()
-        assert result.shard_stats["points"] == len(grid)
-        assert len(store) == len(grid)
-        assert result.engine_stats["store_hits"] > 0
-
-    def test_sharded_store_rows_match_serial_full_grid(self, tmp_path):
-        # The row-count equivalence behind `make shard-smoke`: a sharded
-        # campaign leaves behind the same store rows as serially
-        # evaluating the full feasible grid.
-        reset_shared_cache()
-        serial_path = tmp_path / "serial.sqlite"
-        with ResultStore(serial_path) as serial_store:
-            problem = ACIMDesignProblem(ARRAY_SIZE)
-            from repro.engine import EvaluationCache, EvaluationEngine
-
-            with EvaluationEngine(
-                "serial", cache=EvaluationCache(), store=serial_store
-            ) as engine:
-                engine.evaluate_specs(
-                    ACIMEstimator(), problem.feasible_batch()
-                )
-            serial_rows = len(serial_store)
-        reset_shared_cache()
-        with ResultStore(tmp_path / "sharded.sqlite") as sharded_store:
-            _CampaignManagerCore(sharded_store).run(
-                "smoke", ARRAY_SIZE, config=CONFIG, shards=2
-            )
-            assert len(sharded_store) == serial_rows
-
-    def test_sharded_needs_file_backed_store(self):
-        with ResultStore(":memory:") as store:
-            with pytest.raises(StoreError, match="file-backed"):
-                _CampaignManagerCore(store).run(
-                    "mem", ARRAY_SIZE, config=CONFIG, shards=2
-                )
-            # The rejection happens before the campaign row is created.
-            assert store.get_campaign("mem") is None
-
-    def test_invalid_shard_count_rejected(self, store):
-        with pytest.raises(StoreError, match="at least 1"):
+class TestLegacyCampaignRows:
+    def test_legacy_thread_and_shards_row_resumes_bit_identically(
+        self, tmp_path, reference_pareto
+    ):
+        # A row persisted before the thread backend and sharding were
+        # removed: backend "thread" must resume as serial and the stored
+        # shards key must be ignored, landing on the same front.
+        path = tmp_path / "legacy.sqlite"
+        with ResultStore(path) as store:
             _CampaignManagerCore(store).run(
-                "bad", ARRAY_SIZE, config=CONFIG, shards=0
+                "legacy", ARRAY_SIZE, config=CONFIG, stop_after_generations=2
             )
-
-    def test_plan_shards_never_empty(self):
-        from repro.dse.shard import plan_shards
-
-        assert plan_shards(0, 4) == []
-        assert plan_shards(2, 8) == [(0, 1), (1, 2)]
-        ranges = plan_shards(220, 3)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 220
-        assert all(lo < hi for lo, hi in ranges)
-        assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
+        with sqlite3.connect(path) as conn:
+            (config_json,) = conn.execute(
+                "SELECT config_json FROM campaigns WHERE name = 'legacy'"
+            ).fetchone()
+            config = json.loads(config_json)
+            config.update(backend="thread", workers=2, shards=2)
+            conn.execute(
+                "UPDATE campaigns SET config_json = ? WHERE name = 'legacy'",
+                (json.dumps(config),),
+            )
+        reset_shared_cache()
+        with ResultStore(path) as store:
+            result = _CampaignManagerCore(store).resume("legacy")
+        assert result.status == "completed"
+        assert result.engine_stats["backend"] == "serial"
+        assert _pareto_signature(result.pareto_set) == reference_pareto
 
 
 class TestFlowRecording:

@@ -1,7 +1,10 @@
 """Tests of the unified evaluation engine (cache, backends, determinism)."""
 
+import os
+
 import pytest
 
+from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec, enumerate_design_space
 from repro.dse.exhaustive import evaluate_all
 from repro.dse.explorer import _ExplorerCore
@@ -14,8 +17,14 @@ from repro.engine import (
     spec_cache_key,
     validate_backend,
 )
-from repro.errors import EngineError, OptimizationError
-from repro.model.estimator import ACIMEstimator, ModelParameters
+from repro.errors import (
+    HTTP_STATUS_BY_CODE,
+    EngineError,
+    OptimizationError,
+    SpecificationError,
+    WorkerCrashError,
+)
+from repro.model.estimator import ACIMEstimator, METRIC_FIELDS, ModelParameters
 
 
 class TestEvaluationCache:
@@ -58,11 +67,10 @@ class TestEvaluationEngine:
             validate_backend("cluster")
 
     def test_map_preserves_order(self):
-        for backend in ("serial", "thread"):
-            with EvaluationEngine(backend, workers=2) as engine:
-                assert engine.map(_square, list(range(20))) == [
-                    i * i for i in range(20)
-                ]
+        with EvaluationEngine("serial") as engine:
+            assert engine.map(_square, list(range(20))) == [
+                i * i for i in range(20)
+            ]
 
     def test_map_preserves_order_process(self):
         with EvaluationEngine("process", workers=2) as engine:
@@ -113,6 +121,146 @@ class TestEvaluationEngine:
         assert stats["busy_seconds"] > 0
 
 
+class TestInlineEvaluation:
+    """Spec evaluation runs in the calling process on every backend."""
+
+    def test_backends_are_serial_and_process(self):
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(EngineError):
+            EvaluationEngine("thread")
+
+    def test_empty_spec_list(self):
+        with _fresh_process_engine() as engine:
+            assert engine.evaluate_specs(ACIMEstimator(), []) == []
+            assert engine._executor is None
+
+    def test_single_spec_batch(self):
+        estimator = ACIMEstimator()
+        spec = ACIMDesignSpec(64, 16, 2, 4)
+        with _fresh_process_engine() as engine:
+            (got,) = engine.evaluate_specs(estimator, [spec])
+        _assert_metrics_close(got, estimator.evaluate(spec))
+
+    def test_process_backend_evaluates_large_batch_inline(self):
+        estimator = ACIMEstimator()
+        batch = SpecBatch.enumerate(4096)
+        with _fresh_process_engine() as engine:
+            got = engine.evaluate_specs(estimator, batch)
+            # No pool is ever spawned for analytic work.
+            assert engine._executor is None
+        expected = estimator.evaluate_batch(batch)
+        assert [m.spec for m in got] == [m.spec for m in expected]
+        for g, e in zip(got, expected):
+            for field in METRIC_FIELDS:
+                assert getattr(g, field) == getattr(e, field)
+
+    def test_infeasible_spec_raises_in_parent(self):
+        batch = SpecBatch.concat([
+            SpecBatch.enumerate(1024),
+            SpecBatch.from_spec(ACIMDesignSpec(4, 256, 8, 1)),  # L > H
+        ])
+        with _fresh_process_engine() as engine:
+            with pytest.raises(SpecificationError):
+                engine.evaluate_specs(ACIMEstimator(), batch)
+
+    def test_stats_drop_dispatch_and_serialize_seconds(self):
+        for backend in BACKENDS:
+            with EvaluationEngine(
+                backend, workers=2, cache=EvaluationCache()
+            ) as engine:
+                engine.evaluate_specs(
+                    ACIMEstimator(), SpecBatch.enumerate(1024)
+                )
+                stats = engine.stats.as_dict()
+            assert stats["worker_seconds"] > 0, backend
+            assert "dispatch_seconds" not in stats
+            assert "serialize_seconds" not in stats
+            assert engine.metrics.value("engine.dispatch.seconds", None) is None
+            assert engine.metrics.value("engine.serialize.seconds", None) is None
+
+    def test_worker_seconds_are_deltas_in_since(self):
+        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+            baseline = engine.stats.snapshot()
+            engine.cache.clear()
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+            delta = engine.stats.since(baseline)
+        assert 0 < delta.worker_seconds < engine.stats.worker_seconds
+
+    def test_engine_stats_table_shows_worker_seconds(self):
+        from repro.flow.report import engine_stats_table
+
+        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
+            engine.evaluate_specs(
+                ACIMEstimator(), [ACIMDesignSpec(64, 16, 2, 4)]
+            )
+            (row,) = engine_stats_table(engine.stats.as_dict())
+        assert {"busy_s", "worker_s"} <= set(row)
+        assert not {"dispatch_s", "serialize_s"} & set(row)
+
+
+class TestEngineMap:
+    """``map`` is the engine's one parallel path (a process pool)."""
+
+    def test_generic_map_chunks_are_clamped(self):
+        engine = EvaluationEngine("process", workers=8)
+        try:
+            # An even 4 * workers split of 20 items would be 1-item
+            # chunks; the floor keeps them larger without idling workers.
+            assert 1 < engine._chunk(20) <= 20 // 8
+            assert engine._chunk(20) <= 20
+            assert engine._chunk(3200) == 100  # the even split
+            assert engine._chunk(1) == 1
+        finally:
+            engine.close()
+
+    def test_per_call_chunk_size_preserves_order(self):
+        with EvaluationEngine("process", workers=2) as engine:
+            assert engine.map(_square, list(range(9)), chunk_size=4) == [
+                i * i for i in range(9)
+            ]
+
+    def test_infeasible_spec_raises_in_parent_without_hanging(self):
+        # A worker-side SpecificationError is an ordinary exception: it is
+        # shipped back and raised in the parent, and the pool survives.
+        specs = [(64, 16, 2, 4), (4, 256, 8, 1), (128, 64, 4, 3)]
+        with EvaluationEngine("process", workers=2) as engine:
+            with pytest.raises(SpecificationError):
+                engine.map(_evaluate_tuple, specs, chunk_size=1)
+            executor = engine._executor
+            assert engine.map(_square, [2, 3]) == [4, 9]
+            assert engine._executor is executor
+
+    def test_worker_crash_raises_typed_error(self):
+        with EvaluationEngine("process", workers=2) as engine:
+            with pytest.raises(WorkerCrashError) as excinfo:
+                engine.map(_crash_on_three, list(range(8)), chunk_size=1)
+            error = excinfo.value
+            assert error.code == "worker-crash"
+            assert isinstance(error, EngineError)
+            assert error.as_dict()["code"] == "worker-crash"
+            assert HTTP_STATUS_BY_CODE[error.code] == 500
+            assert engine._executor is None  # the broken pool is dropped
+
+    def test_next_map_after_a_crash_rebuilds_the_pool(self):
+        with EvaluationEngine("process", workers=2) as engine:
+            with pytest.raises(WorkerCrashError):
+                engine.map(_crash_on_three, list(range(8)), chunk_size=1)
+            assert engine.map(_square, list(range(20))) == [
+                i * i for i in range(20)
+            ]
+
+    def test_close_releases_the_pool_workers(self):
+        engine = EvaluationEngine("process", workers=2)
+        engine.map(_square, list(range(8)))
+        pids = list(engine._executor._processes)
+        assert pids
+        engine.close()
+        engine.close()  # idempotent
+        assert engine._executor is None
+        assert not any(_pid_running(pid) for pid in pids)
+
+
 class TestEstimatorBatch:
     def test_batch_equals_individual_evaluations(self):
         estimator = ACIMEstimator(ModelParameters.calibrated())
@@ -133,15 +281,14 @@ class TestEstimatorBatch:
 class TestExhaustiveThroughEngine:
     def test_evaluate_all_identical_across_backends(self):
         serial = evaluate_all(4096)
-        for backend in ("thread", "process"):
-            with EvaluationEngine(
-                backend, workers=2, cache=EvaluationCache()
-            ) as engine:
-                parallel = evaluate_all(4096, engine=engine)
-            assert [d.spec for d in parallel] == [d.spec for d in serial]
-            assert [d.objectives for d in parallel] == [
-                d.objectives for d in serial
-            ]
+        with EvaluationEngine(
+            "process", workers=2, cache=EvaluationCache()
+        ) as engine:
+            parallel = evaluate_all(4096, engine=engine)
+        assert [d.spec for d in parallel] == [d.spec for d in serial]
+        assert [d.objectives for d in parallel] == [
+            d.objectives for d in serial
+        ]
 
 
 class TestSeedDeterminismAcrossBackends:
@@ -218,6 +365,35 @@ class TestSeedDeterminismAcrossBackends:
 
 def _square(value: int) -> int:
     return value * value
+
+
+def _crash_on_three(value: int) -> int:
+    """Kill the worker process outright on item 3 (fault injection)."""
+    if value == 3:
+        os._exit(1)
+    return value * value
+
+
+def _evaluate_tuple(spec_tuple):
+    return ACIMEstimator().evaluate(ACIMDesignSpec(*spec_tuple))
+
+
+def _fresh_process_engine(workers: int = 2) -> EvaluationEngine:
+    """A process engine with a private cache (no shared-cache hits)."""
+    return EvaluationEngine("process", workers=workers, cache=EvaluationCache())
+
+
+def _pid_running(pid: int) -> bool:
+    """True while ``pid`` is a live (non-zombie) process."""
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, PermissionError):
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().split(")")[-1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def _assert_metrics_close(got, expected, context=""):

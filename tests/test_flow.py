@@ -240,12 +240,12 @@ class TestFlowCore:
         # the whole flow, not be silently ignored.
         import dataclasses
 
-        nsga2 = dataclasses.replace(FAST_NSGA2, backend="thread", workers=2)
+        nsga2 = dataclasses.replace(FAST_NSGA2, backend="process", workers=2)
         flow = _FlowCore(FlowInputs(array_size=1024, nsga2=nsga2))
-        assert flow.engine.backend == "thread"
+        assert flow.engine.backend == "process"
         assert flow.engine.workers == 2
         result = flow.run(generate_layouts=False)
-        assert result.engine_stats["backend"] == "thread"
+        assert result.engine_stats["backend"] == "process"
 
     def test_flow_parallel_fanout_matches_serial(self):
         # The serial flow runs the reuse-aware pipeline path; the parallel

@@ -8,6 +8,7 @@ always-on instrumentation must respect while tracing is disabled.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -34,7 +35,6 @@ from repro.obs import (
     export_jsonl,
     get_tracer,
     span_to_trace_event,
-    worker_span_record,
 )
 from repro.reporting.observability import (
     campaign_trend_table,
@@ -205,15 +205,18 @@ class TestTracer:
 
     def test_adopt_reparents_worker_records(self):
         tracer = Tracer(enabled=True)
-        record = worker_span_record("engine.chunk", 10, 20, lo=0, hi=4)
-        with tracer.span("engine.dispatch") as dispatch:
-            parent_id = dispatch.span_id
+        record = Span(
+            "engine.map.item", attrs={"lo": 0, "hi": 4},
+            start_ns=10, end_ns=20,
+        ).as_dict()
+        with tracer.span("engine.map") as map_span:
+            parent_id = map_span.span_id
         adopted = tracer.adopt([record], parent_id=parent_id)
         assert adopted[0].parent_id == parent_id
         assert adopted[0].attrs == {"lo": 0, "hi": 4}
         assert adopted[0].start_ns == 10 and adopted[0].end_ns == 20
         names = [span.name for span in tracer.finished_spans()]
-        assert names == ["engine.dispatch", "engine.chunk"]
+        assert names == ["engine.map", "engine.map.item"]
 
     def test_configure_tracing_resets_the_global_tracer(self):
         tracer = configure_tracing(enabled=True)
@@ -321,9 +324,7 @@ class TestEngineStatsByteIdentity:
             "store_hits": 0,
             "store_writes": 0,
             "busy_seconds": 0.0,
-            "dispatch_seconds": 0.0,
             "worker_seconds": 0.0,
-            "serialize_seconds": 0.0,
             "evaluations_per_second": 0.0,
             "surrogate_exact": 0,
             "surrogate_screened": 0,
@@ -378,31 +379,24 @@ class TestEngineTracing:
         assert chunk.attrs["where"] == "inline"
         assert chunk.parent_id == spans["engine.evaluate_specs"].span_id
 
-    def test_process_backend_ships_worker_spans(self):
+    def test_process_backend_evaluates_specs_inline(self):
+        # Analytic evaluation never leaves the parent, whatever the
+        # backend: one inline chunk span nests under the batch span.
         configure_tracing(enabled=True)
         engine = EvaluationEngine(
             "process", workers=2, cache=EvaluationCache(max_size=100_000),
-            chunk_size=64,
         )
         batch = SpecBatch.enumerate(16 * 1024)
         try:
             engine.evaluate_specs(ACIMEstimator(), batch)
+            assert engine._executor is None  # no pool was spawned
         finally:
             engine.close()
-        spans = get_tracer().finished_spans()
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span.name, []).append(span)
-        assert "engine.dispatch" in by_name
-        chunks = by_name.get("engine.chunk", [])
-        worker_chunks = [s for s in chunks if s.attrs.get("where") == "worker"]
-        assert worker_chunks, "no worker-recorded chunk spans shipped back"
-        dispatch_ids = {s.span_id for s in by_name["engine.dispatch"]}
-        parent_pid = by_name["engine.dispatch"][0].pid
-        for span in worker_chunks:
-            assert span.parent_id in dispatch_ids
-            assert span.pid != parent_pid  # recorded inside the worker
-            assert span.start_ns <= span.end_ns
+        spans = {span.name: span for span in get_tracer().finished_spans()}
+        chunk = spans["engine.chunk"]
+        assert chunk.attrs == {"where": "inline", "count": len(batch)}
+        assert chunk.parent_id == spans["engine.evaluate_specs"].span_id
+        assert chunk.pid == os.getpid()
 
     def test_process_map_ships_item_spans(self):
         configure_tracing(enabled=True)
@@ -516,13 +510,13 @@ class TestOverhead:
 
 
 class TestEngineStatsTableClamp:
-    def test_negative_dispatch_renders_zero(self):
+    def test_negative_timing_renders_zero(self):
         rows = engine_stats_table({
             "backend": "process", "workers": 4,
-            "dispatch_seconds": -1e-9, "busy_seconds": 0.5,
+            "worker_seconds": -1e-9, "busy_seconds": 0.5,
             "evaluations": 100, "evaluations_per_second": 200.0,
         })
-        assert rows[0]["dispatch_s"] == 0.0
+        assert rows[0]["worker_s"] == 0.0
         text = format_table(rows)
         assert "-0.00" not in text and "-1e-09" not in text
 
@@ -544,12 +538,10 @@ class TestEngineStatsTableClamp:
         rows = engine_stats_table({
             "backend": "serial", "workers": 1,
             "busy_seconds": None, "worker_seconds": "nan?",
-            "serialize_seconds": -3.0,
             "evaluations_per_second": -1.0,
         })
         assert rows[0]["busy_s"] == 0.0
         assert rows[0]["worker_s"] == 0.0
-        assert rows[0]["serialize_s"] == 0.0
         assert rows[0]["evals_per_s"] == 0.0
 
     def test_empty_stats_stay_empty(self):

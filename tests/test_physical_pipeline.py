@@ -385,7 +385,7 @@ class TestFlowReuse:
         # is kept and no pipeline statistics are produced.
         with _FlowCore(FlowInputs(
                 array_size=256, nsga2=FAST_NSGA2, max_layouts=1,
-                backend="thread", workers=2)) as flow:
+                backend="process", workers=2)) as flow:
             assert not flow._use_pipeline()
             result = flow.run(route_columns=False)
         assert result.layouts

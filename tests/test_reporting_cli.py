@@ -112,6 +112,15 @@ class TestCli:
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == f"repro {__version__}"
 
+    def test_pyproject_version_matches_package(self):
+        import tomllib
+        from pathlib import Path
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["version"] == __version__
+
     def test_estimate_command(self, capsys):
         exit_code = main(["estimate", "--height", "128", "--width", "128",
                           "--local", "8", "--adc-bits", "3"])
@@ -136,12 +145,12 @@ class TestCli:
         exit_code = main([
             "explore", "--array-size", "1024", "--population", "20",
             "--generations", "6", "--seed", "3",
-            "--backend", "thread", "--workers", "2", "--engine-stats",
+            "--backend", "process", "--workers", "2", "--engine-stats",
         ])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Pareto solutions" in captured
-        assert "thread" in captured
+        assert "process" in captured
         assert "evals_per_s" in captured
 
     def test_layout_command(self, tmp_path, capsys):

@@ -35,6 +35,7 @@ from repro.errors import (
     http_status_of,
 )
 from repro.serve import (
+    Job,
     JobQueue,
     ReproServer,
     ServeClient,
@@ -161,6 +162,36 @@ class TestJobQueue:
         with pytest.raises(ServeError):
             queue.get(done[0].id)
 
+    def test_eviction_skips_a_job_caught_mid_finish(self):
+        # The queue reads ``state`` without the job's lock, so it can see
+        # a terminal job whose ``finished_at`` has not landed yet.  That
+        # job is the newest, not the oldest: it must survive eviction.
+        queue = JobQueue(retention=2)
+        old = queue.submit("t", {"kind": "estimate"})
+        queue.claim(timeout=0.1)
+        old.complete({})
+        queue.release(old)
+        finishing = queue.submit("t", {"kind": "estimate"})
+        queue.claim(timeout=0.1)
+        finishing.state = "done"  # finished_at still None
+        queue.submit("t", {"kind": "estimate"})
+        assert queue.get(finishing.id) is finishing
+        with pytest.raises(ServeError):
+            queue.get(old.id)
+
+    def test_finish_time_lands_before_terminal_state(self):
+        seen = []
+
+        class RecordingJob(Job):
+            def __setattr__(self, name, value):
+                if name == "state" and value == "done":
+                    seen.append(self.finished_at)
+                super().__setattr__(name, value)
+
+        job = RecordingJob("job-1", "t", {"kind": "estimate"})
+        job.complete({})
+        assert seen and seen[0] is not None
+
     def test_event_log_cursor_replay(self):
         queue = JobQueue()
         job = queue.submit("t", {"kind": "estimate"}, stream=True)
@@ -264,6 +295,11 @@ class TestServerEndpoints:
         result = document["result"]
         assert result["kind"] == "estimate" and result["status"] == "ok"
         assert "metrics" in result["payload"]
+
+    def test_listen_backlog_absorbs_connection_bursts(self, server):
+        # socketserver's default backlog of 5 drops SYNs under a handful
+        # of concurrent clients, stalling each for a 1 s retransmit.
+        assert server._httpd.request_queue_size == 128
 
     def test_healthz_and_metrics(self, client):
         client.run({"kind": "estimate"})
