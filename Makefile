@@ -14,9 +14,6 @@
 #   make trace-smoke       quickstart-sized flow under `repro trace`: the
 #                          exported Chrome trace must parse and nest api +
 #                          engine + chunk + physical-pipeline spans
-#   make surrogate-smoke   screened vs unscreened fixed-seed exploration:
-#                          fewer exact evals at >= recall, counters
-#                          consistent, cold-store fallback bit-identical
 #   make serve-smoke       live HTTP server on an ephemeral port: every
 #                          request kind by HTTP, SSE campaign streaming with
 #                          replay, cancel+resume, 429/404/400 envelopes,
@@ -36,11 +33,6 @@
 #                          BENCH_template.json
 #   make model-bench-smoke CI-sized vectorized-model benchmark (5x gate, no write)
 #   make model-bench       full vectorized-model benchmark, records BENCH_model.json
-#   make surrogate-bench-smoke CI-sized surrogate-screening benchmark (3x
-#                          exact-eval gate + recall parity, recorded only
-#                          in quick mode, no write)
-#   make surrogate-bench   full surrogate-screening benchmark on the 112k-point
-#                          space, records BENCH_surrogate.json
 #   make bench-quick       CI-sized engine scaling benchmark (no baseline write)
 #   make bench             full engine scaling benchmark, records BENCH_engine.json
 #   make ci                what every PR must pass: tier-1 + the smokes + gates
@@ -50,7 +42,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke surrogate-bench surrogate-bench-smoke bench bench-quick ci
+.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke bench bench-quick ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -72,9 +64,6 @@ template-smoke:
 
 trace-smoke:
 	$(PYTHON) examples/trace_smoke.py
-
-surrogate-smoke:
-	$(PYTHON) examples/surrogate_smoke.py
 
 serve-smoke:
 	$(PYTHON) examples/serve_smoke.py
@@ -106,16 +95,10 @@ model-bench-smoke:
 model-bench:
 	$(PYTHON) benchmarks/bench_model_vectorized.py
 
-surrogate-bench-smoke:
-	$(PYTHON) benchmarks/bench_surrogate.py --quick
-
-surrogate-bench:
-	$(PYTHON) benchmarks/bench_surrogate.py
-
 bench-quick:
 	$(PYTHON) benchmarks/bench_engine_scaling.py --quick --workers 2
 
 bench:
 	$(PYTHON) benchmarks/bench_engine_scaling.py
 
-ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke surrogate-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke surrogate-bench-smoke
+ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke

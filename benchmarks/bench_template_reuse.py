@@ -18,8 +18,11 @@ ways:
 The gate asserts the place-and-route time of the *template-patched*
 solves is >= 5x cheaper than the flat solves of the same designs, and
 that every patched design's GDSII is byte-identical to the flat
-baseline.  A final cold-process segment re-opens the store and derives a
-fresh design through the ``template_index`` nearest-neighbour rung.
+baseline.  Each side's time is the fastest of ``PASSES`` passes, every
+pass with fresh pipelines and a fresh store, so a pass slowed by other
+load on a shared host does not decide the gate.  A final cold-process
+segment re-opens the store and derives a fresh design through the
+``template_index`` nearest-neighbour rung.
 Like the engine-scaling gate, enforcement is relaxed on single-core
 hosts (the numbers are still recorded).
 
@@ -59,6 +62,9 @@ QUICK_FAMILY = [(16, 2), (32, 3)]
 #: nearest-neighbour rung from a cold process.
 COLD_PROCESS_SPEC = ACIMDesignSpec(96, 8, 4, 2)
 
+#: Timed passes per side; the fastest one counts.
+PASSES = 3
+
 
 def sweep_specs(family) -> list:
     return [
@@ -86,6 +92,36 @@ def solve(pipeline: PhysicalPipeline, spec: ACIMDesignSpec) -> dict:
     }
 
 
+def solve_sweep(library, specs, store: ResultStore):
+    """One pass: every design flat, then through a template pipeline.
+
+    Both pipelines are new and ``store`` is expected empty, so every pass
+    starts cold.  Returns the two pipelines and their per-design runs.
+    """
+    flat = PhysicalPipeline(library, reuse=False)
+    template = PhysicalPipeline(library, store=store)
+    flat_runs = [solve(flat, spec) for spec in specs]
+    template_runs = [solve(template, spec) for spec in specs]
+    return flat, template, flat_runs, template_runs
+
+
+def pass_seconds(flat_runs, template_runs) -> dict:
+    """One pass's timings: place+route over the derived designs, and the
+    end-to-end solve time of every design, flat and template."""
+    pairs = [
+        (flat_run, template_run)
+        for flat_run, template_run in zip(flat_runs, template_runs)
+        if template_run["derived"] >= 1
+    ]
+    return {
+        "derived": len(pairs),
+        "flat_solve": sum(f["solve_s"] for f, _ in pairs),
+        "patched_solve": sum(t["solve_s"] for _, t in pairs),
+        "flat_total": sum(r["total_s"] for r in flat_runs),
+        "template_total": sum(r["total_s"] for r in template_runs),
+    }
+
+
 def gds_of(layout, technology, directory: Path, tag: str) -> bytes:
     path = directory / f"{tag}.gds"
     write_gds(layout, path, technology)
@@ -109,12 +145,17 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
-        store = ResultStore(tmp_path / "artifacts.sqlite")
-
-        flat = PhysicalPipeline(library, reuse=False)
-        template = PhysicalPipeline(library, store=store)
-        flat_runs = [solve(flat, spec) for spec in specs]
-        template_runs = [solve(template, spec) for spec in specs]
+        passes = []
+        for index in range(PASSES):
+            store = ResultStore(tmp_path / f"artifacts-{index}.sqlite")
+            flat, template, flat_runs, template_runs = solve_sweep(
+                library, specs, store
+            )
+            passes.append(pass_seconds(flat_runs, template_runs))
+            # The last pass's pipelines, runs and store stay for the
+            # byte-identity checks and the cold-process segment.
+            if index < PASSES - 1:
+                store.close()
 
         mismatched = []
         for flat_run, template_run in zip(flat_runs, template_runs):
@@ -148,22 +189,21 @@ def main(argv=None) -> int:
           f"{cold.macro_library.derived_from_store} macro(s) from the "
           f"template_index table, byte-identical")
 
-    derived_pairs = [
-        (flat_run, template_run)
-        for flat_run, template_run in zip(flat_runs, template_runs)
-        if template_run["derived"] >= 1
-    ]
-    flat_solve_s = sum(f["solve_s"] for f, _ in derived_pairs)
-    patched_solve_s = sum(t["solve_s"] for _, t in derived_pairs)
+    def fastest(key):
+        return min(timing[key] for timing in passes)
+
+    derived_designs = passes[-1]["derived"]
+    flat_solve_s = fastest("flat_solve")
+    patched_solve_s = fastest("patched_solve")
     speedup = flat_solve_s / patched_solve_s if patched_solve_s else 0.0
-    total_speedup = (sum(r["total_s"] for r in flat_runs)
-                     / sum(r["total_s"] for r in template_runs))
+    total_speedup = fastest("flat_total") / fastest("template_total")
 
     n = len(specs)
     record = {
         "benchmark": "template_reuse",
         "designs": n,
-        "derived_designs": len(derived_pairs),
+        "derived_designs": derived_designs,
+        "passes": PASSES,
         "cpu": platform.processor() or platform.machine(),
         "cores": cores,
         "python": platform.python_version(),
@@ -179,7 +219,8 @@ def main(argv=None) -> int:
         "end_to_end_speedup": round(total_speedup, 2),
     }
     print(f"    flat solves     : {flat_solve_s * 1e3:9.1f} ms "
-          f"place+route over {len(derived_pairs)} derived designs")
+          f"place+route over {derived_designs} derived designs "
+          f"(fastest of {PASSES} passes)")
     print(f"    patched solves  : {patched_solve_s * 1e3:9.1f} ms "
           f"({template.stats.macros_derived} template derives, "
           f"{speedup:.2f}x)")

@@ -195,24 +195,6 @@ def _validate_nsga2(request) -> None:
     )
 
 
-def _validate_surrogate(request) -> None:
-    """Shared checks of the surrogate-screening knobs."""
-    if request.surrogate not in ("off", "screen", "refine"):
-        raise RequestError(
-            f"unknown surrogate mode {request.surrogate!r}; "
-            "expected one of ['off', 'refine', 'screen']"
-        )
-    fraction = request.screen_fraction
-    if not isinstance(fraction, (int, float)) or isinstance(fraction, bool):
-        raise RequestError(
-            f"screen_fraction must be a number, got {fraction!r}"
-        )
-    if not 0.0 < float(fraction) <= 1.0:
-        raise RequestError(
-            f"screen_fraction must be in (0, 1], got {fraction!r}"
-        )
-
-
 _CRITERIA_FIELDS = (
     "min_snr_db",
     "min_tops",
@@ -278,12 +260,6 @@ class ExploreRequest(ApiRequest):
         sensitivity_parameters: constants to perturb (``sensitivity``
             only; None keeps the analyzer's default set).
         relative_change: perturbation magnitude (``sensitivity`` only).
-        surrogate: evaluation mode (``nsga2`` only): ``off`` (exact,
-            bit-identical to earlier releases), ``screen`` (surrogate
-            pre-filters offspring) or ``refine`` (screening plus a
-            store-warmed start; needs the session's store).
-        screen_fraction: fraction of feasible offspring sent to the exact
-            engine per generation in the surrogate modes.
     """
 
     kind: ClassVar[str] = "explore"
@@ -307,22 +283,14 @@ class ExploreRequest(ApiRequest):
     max_area_f2_per_bit: Optional[float] = None
     sensitivity_parameters: Optional[Tuple[str, ...]] = None
     relative_change: float = 0.2
-    surrogate: str = "off"
-    screen_fraction: float = 0.25
 
     METHODS: ClassVar[Tuple[str, ...]] = ("nsga2", "exhaustive", "sensitivity")
-    SURROGATE_MODES: ClassVar[Tuple[str, ...]] = ("off", "screen", "refine")
 
     def validate(self) -> "ExploreRequest":
         if self.method not in self.METHODS:
             raise RequestError(
                 f"unknown explore method {self.method!r}; "
                 f"expected one of {sorted(self.METHODS)}"
-            )
-        _validate_surrogate(self)
-        if self.surrogate != "off" and self.method != "nsga2":
-            raise RequestError(
-                "surrogate screening only applies to the 'nsga2' method"
             )
         _validate_nsga2(self)
         _require_int("max_adc_bits", self.max_adc_bits, 1)
@@ -355,11 +323,6 @@ class CampaignRequest(ApiRequest):
         checkpoint_every: commit a snapshot every N generations.
         stop_after: stop (checkpointed, resumable) after N generations in
             this call — the programmatic equivalent of killing the process.
-        surrogate: evaluation mode (``run`` only; ``resume`` replays the
-            stored mode): ``off``, ``screen`` or ``refine`` — see
-            :class:`ExploreRequest`.
-        screen_fraction: fraction of feasible offspring sent to the exact
-            engine per generation in the surrogate modes.
     """
 
     kind: ClassVar[str] = "campaign"
@@ -372,11 +335,8 @@ class CampaignRequest(ApiRequest):
     seed: int = 1
     checkpoint_every: int = 1
     stop_after: Optional[int] = None
-    surrogate: str = "off"
-    screen_fraction: float = 0.25
 
     ACTIONS: ClassVar[Tuple[str, ...]] = ("run", "resume")
-    SURROGATE_MODES: ClassVar[Tuple[str, ...]] = ("off", "screen", "refine")
 
     def validate(self) -> "CampaignRequest":
         if not self.name or not isinstance(self.name, str):
@@ -390,12 +350,6 @@ class CampaignRequest(ApiRequest):
         if self.checkpoint_every < 1:
             raise StoreError("checkpoint_every must be at least 1")
         _require_optional_int("stop_after", self.stop_after, 1)
-        _validate_surrogate(self)
-        if self.surrogate != "off" and self.action != "run":
-            raise RequestError(
-                "surrogate only applies to 'run' (a resumed campaign "
-                "replays its stored evaluation mode)"
-            )
         return self
 
 

@@ -437,12 +437,7 @@ class Session:
                 local_array_sizes=request.local_array_sizes,
                 max_adc_bits=request.max_adc_bits,
                 engine=self.engine,
-                store=self.store,
-                surrogate=request.surrogate,
-                screen_fraction=request.screen_fraction,
             )
-            if request.surrogate == "refine":
-                self._require_store("explore(surrogate='refine')")
             exploration = explorer.explore(
                 request.array_size,
                 min_height=request.min_height,
@@ -461,8 +456,6 @@ class Session:
             "pareto": [d.metrics.as_dict() for d in pareto_set],
             "distilled": [d.metrics.as_dict() for d in distilled],
         }
-        if request.surrogate != "off" and exploration is not None:
-            payload["surrogate"] = dict(exploration.surrogate)
         return self._finish(
             request.kind, start, baseline, payload,
             artifacts={
@@ -527,8 +520,6 @@ class Session:
                     workers=self.config.workers,
                 ),
                 stop_after_generations=request.stop_after,
-                surrogate=request.surrogate,
-                screen_fraction=request.screen_fraction,
             )
         payload = {
             "name": outcome.name,
@@ -540,10 +531,6 @@ class Session:
             "resumed": outcome.resumed,
             "pareto": [d.metrics.as_dict() for d in outcome.pareto_set],
         }
-        if outcome.surrogate:
-            # Added only in surrogate modes so plain campaign payloads
-            # stay byte-identical to earlier releases.
-            payload["surrogate"] = dict(outcome.surrogate)
         return self._finish(
             request.kind, start, baseline, payload,
             status="ok" if outcome.status == "completed" else "interrupted",

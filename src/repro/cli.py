@@ -134,16 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--population", type=int, default=80)
     explore.add_argument("--generations", type=int, default=40)
     explore.add_argument("--seed", type=int, default=1)
-    explore.add_argument("--surrogate",
-                         choices=list(ExploreRequest.SURROGATE_MODES),
-                         default="off",
-                         help="surrogate evaluation mode: off (exact), "
-                              "screen (learned pre-filtering) or refine "
-                              "(screening + store-warmed start; needs "
-                              "--store)")
-    explore.add_argument("--screen-fraction", type=float, default=0.25,
-                         help="fraction of offspring sent to the exact "
-                              "engine per generation (surrogate modes)")
     explore.add_argument("--engine-stats", action="store_true",
                          help="print evaluation-engine statistics")
     explore.add_argument("--min-snr-db", type=float, default=None,
@@ -257,14 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--seed", type=int, default=1)
     campaign_run.add_argument("--checkpoint-every", type=int, default=1,
                               help="commit a snapshot every N generations")
-    campaign_run.add_argument("--surrogate",
-                              choices=list(CampaignRequest.SURROGATE_MODES),
-                              default="off",
-                              help="surrogate evaluation mode: off (exact), "
-                                   "screen or refine (store-warmed)")
-    campaign_run.add_argument("--screen-fraction", type=float, default=0.25,
-                              help="fraction of offspring evaluated exactly "
-                                   "per generation (surrogate modes)")
     campaign_run.add_argument("--stop-after", type=int, default=None,
                               help="stop (checkpointed, resumable) after N "
                                    "generations in this invocation")
@@ -410,8 +392,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         min_tops=args.min_tops,
         min_tops_per_watt=args.min_tops_per_watt,
         max_area_f2_per_bit=args.max_area,
-        surrogate=args.surrogate,
-        screen_fraction=args.screen_fraction,
     )
     with _session_from_args(args) as session:
         result = session.submit(request)
@@ -440,12 +420,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
           f"({len(designs)} after distillation), "
           f"{result.payload['evaluations']} evaluations, "
           f"{result.runtime_seconds:.2f} s")
-    surrogate = result.payload.get("surrogate")
-    if surrogate:
-        print(f"Surrogate ({surrogate['mode']}): "
-              f"{surrogate['exact_candidates']} exact + "
-              f"{surrogate['screened_candidates']} screened-out candidates, "
-              f"{surrogate['training_rows']} training rows")
     if args.engine_stats and result.engine_stats:
         print(format_table(engine_stats_table(result.engine_stats)))
     if designs:
@@ -575,12 +549,6 @@ def _cmd_library(args: argparse.Namespace) -> int:
 def _print_campaign_outcome(result: ApiResult, engine_stats: bool) -> None:
     outcome = result.artifacts["result"]
     print(format_table([outcome.as_dict()]))
-    if outcome.surrogate:
-        print(f"Surrogate ({outcome.surrogate['mode']}): "
-              f"{outcome.surrogate['exact_candidates']} exact + "
-              f"{outcome.surrogate['screened_candidates']} screened-out "
-              f"candidates, {outcome.surrogate['training_rows']} "
-              f"training rows")
     if outcome.status == "interrupted":
         print(f"Campaign {outcome.name!r} checkpointed at generation "
               f"{outcome.generations_done}/{outcome.total_generations}; "
@@ -602,8 +570,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
         stop_after=args.stop_after,
-        surrogate=args.surrogate,
-        screen_fraction=args.screen_fraction,
     )
     with _session_from_args(args, default_store=DEFAULT_CAMPAIGN_STORE) as session:
         result = session.submit(request)

@@ -26,12 +26,6 @@ from repro.dse.pareto import (
     pareto_front,
     pareto_front_mask,
 )
-from repro.dse.surrogate import (
-    SurrogateModel,
-    SurrogateScreener,
-    refine_seed_genomes,
-    training_fingerprint,
-)
 from repro.dse.nsga2 import NSGA2, NSGA2Config, Individual
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
 from repro.dse.exhaustive import exhaustive_pareto_front
@@ -51,10 +45,6 @@ __all__ = [
     "non_dominated_sort",
     "pareto_front",
     "pareto_front_mask",
-    "SurrogateModel",
-    "SurrogateScreener",
-    "refine_seed_genomes",
-    "training_fingerprint",
     "NSGA2",
     "NSGA2Config",
     "Individual",

@@ -17,12 +17,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import OptimizationError, StoreError
+from repro.errors import OptimizationError
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.pareto import pareto_front
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.dse.surrogate import SurrogateScreener, refine_seed_genomes
 from repro.engine import EvaluationEngine
 from repro.model.estimator import ACIMEstimator
 
@@ -40,8 +39,6 @@ class ExplorationResult:
         history: per-generation statistics from the optimiser.
         engine_stats: evaluation-engine statistics (backend, batches, cache
             hits, evaluations/sec) of this run, when an engine was used.
-        surrogate: surrogate-screening summary (mode, exact/screened candidate
-            counts, training rows) — empty for plain exact exploration.
     """
 
     array_size: int
@@ -51,7 +48,6 @@ class ExplorationResult:
     runtime_seconds: float
     history: List[Dict[str, float]] = field(default_factory=list)
     engine_stats: Dict[str, float] = field(default_factory=dict)
-    surrogate: Dict[str, float] = field(default_factory=dict)
 
     def specs(self) -> List[ACIMDesignSpec]:
         """The Pareto-frontier design specs."""
@@ -123,24 +119,13 @@ class _ExplorerCore:
         local_array_sizes: Sequence[int] = (2, 4, 8, 16, 32),
         max_adc_bits: int = 8,
         engine: Optional[EvaluationEngine] = None,
-        store=None,
-        surrogate: str = "off",
-        screen_fraction: float = 0.25,
         power_of_two_heights: bool = True,
     ) -> None:
-        if surrogate not in ("off", "screen", "refine"):
-            raise OptimizationError(
-                f"unknown surrogate mode {surrogate!r}; "
-                "expected 'off', 'screen' or 'refine'"
-            )
         self.estimator = estimator or ACIMEstimator()
         self.config = config
         self.local_array_sizes = local_array_sizes
         self.max_adc_bits = max_adc_bits
         self.engine = engine
-        self.store = store
-        self.surrogate = surrogate
-        self.screen_fraction = screen_fraction
         self.power_of_two_heights = power_of_two_heights
 
     def explore(
@@ -181,48 +166,11 @@ class _ExplorerCore:
             engine=engine,
             power_of_two_heights=self.power_of_two_heights,
         )
-        screener = None
-        seed_genomes = None
-        if self.surrogate != "off":
-            from repro.engine.screen import ScreeningEvaluator
-
-            if self.surrogate == "refine" and self.store is None:
-                raise StoreError(
-                    "surrogate='refine' warm-starts from the result store; "
-                    "run inside a Session with a store attached"
-                )
-            screener = SurrogateScreener(
-                ScreeningEvaluator(
-                    engine,
-                    self.estimator,
-                    screen_fraction=self.screen_fraction,
-                    store=self.store,
-                )
-            )
-            problem.observer = screener.observe
-            if self.surrogate == "refine":
-                seed_genomes = refine_seed_genomes(
-                    self.store,
-                    problem,
-                    params_digest=screener.evaluator.params_digest,
-                    limit=self.config.population_size,
-                )
-        optimizer = NSGA2(problem, self.config, screener=screener)
+        optimizer = NSGA2(problem, self.config)
         stats_baseline = engine.stats.snapshot()
         start = time.perf_counter()
-        final_population = optimizer.run(seed_genomes=seed_genomes)
+        final_population = optimizer.run()
         runtime = time.perf_counter() - start
-
-        surrogate_summary: Dict[str, float] = {}
-        if screener is not None:
-            screener.persist()
-            surrogate_summary = {
-                "mode": self.surrogate,
-                "screen_fraction": self.screen_fraction,
-                "exact_candidates": screener.exact_candidates,
-                "screened_candidates": screener.screened_candidates,
-                "training_rows": screener.evaluator.training_rows,
-            }
         pareto_set = pareto_designs_from_population(problem, final_population)
         return ExplorationResult(
             array_size=array_size,
@@ -232,7 +180,6 @@ class _ExplorerCore:
             runtime_seconds=runtime,
             history=optimizer.history,
             engine_stats=engine.stats.since(stats_baseline).as_dict(),
-            surrogate=surrogate_summary,
         )
 
     def explore_many(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.errors import OptimizationError
 from repro.dse.pareto import crowding_distance, non_dominated_sort
@@ -120,18 +120,9 @@ class NSGA2(Generic[Genome]):
     evaluation produce bit-identical runs for a fixed seed.
     """
 
-    def __init__(
-        self, problem, config: NSGA2Config = NSGA2Config(), screener=None
-    ) -> None:
+    def __init__(self, problem, config: NSGA2Config = NSGA2Config()) -> None:
         self.problem = problem
         self.config = config
-        #: Optional :class:`~repro.dse.surrogate.SurrogateScreener`: when
-        #: set, each generation's offspring batch is filtered through it
-        #: before exact evaluation.  Screening decisions never consume
-        #: the optimizer RNG, so ``screener=None`` runs are bit-identical
-        #: to pre-screening revisions and a screener that keeps
-        #: everything (cold fallback) changes nothing at all.
-        self.screener = screener
         self._evaluations = 0
         self.history: List[Dict[str, float]] = []
         self._rng: Optional[random.Random] = None
@@ -158,31 +149,24 @@ class NSGA2(Generic[Genome]):
 
     # -- main loop ------------------------------------------------------------
 
-    def run(self, seed_genomes: Optional[Sequence[Genome]] = None) -> List[Individual]:
+    def run(self) -> List[Individual]:
         """Evolve the population and return the final non-dominated set.
 
         Equivalent to :meth:`initialize` followed by :meth:`step` until
         :attr:`done`; checkpointing drivers (the campaign manager) call the
         stepwise API directly and snapshot :meth:`state` between steps.
         """
-        self.initialize(seed_genomes=seed_genomes)
+        self.initialize()
         while not self.done:
             self.step()
         return self.result()
 
     # -- stepwise / checkpointable API ----------------------------------------
 
-    def initialize(self, seed_genomes: Optional[Sequence[Genome]] = None) -> None:
-        """Seed the RNG and evaluate the initial population (generation 0).
-
-        ``seed_genomes`` warm-start the population (the ``refine``
-        campaign method passes the store's cross-campaign Pareto set):
-        they are deduplicated, placed first, and the remainder is filled
-        with random genomes.  Seeding consumes no RNG, so with no seeds
-        the initial population is bit-identical to earlier revisions.
-        """
+    def initialize(self) -> None:
+        """Seed the RNG and evaluate the initial population (generation 0)."""
         rng = random.Random(self.config.seed)
-        population = self._initial_population(rng, seed_genomes)
+        population = self._initial_population(rng)
         self._assign_ranks(population)
         self._rng = rng
         self._population = population
@@ -276,21 +260,9 @@ class NSGA2(Generic[Genome]):
 
     # -- population management -----------------------------------------------
 
-    def _initial_population(
-        self,
-        rng: random.Random,
-        seed_genomes: Optional[Sequence[Genome]] = None,
-    ) -> List[Individual]:
+    def _initial_population(self, rng: random.Random) -> List[Individual]:
         genomes: List[Genome] = []
         seen = set()
-        for genome in seed_genomes or ():
-            if len(genomes) >= self.config.population_size:
-                break
-            key = self._genome_key(genome)
-            if key in seen:
-                continue
-            seen.add(key)
-            genomes.append(genome)
         attempts = 0
         while len(genomes) < self.config.population_size:
             genome = self.problem.random_genome(rng)
@@ -339,13 +311,6 @@ class NSGA2(Generic[Genome]):
             if rng.random() < self.config.mutation_probability:
                 child_genome = self.problem.mutate(child_genome, rng)
             child_genomes.append(child_genome)
-        if self.screener is not None:
-            # RNG consumption is over for this generation; the screener's
-            # decisions are deterministic array math, so screened and
-            # unscreened runs share the identical genome stream.
-            child_genomes = self.screener.filter_offspring(
-                child_genomes, population, self.problem
-            )
         return self._evaluate_many(child_genomes)
 
     def _environmental_selection(

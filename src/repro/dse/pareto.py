@@ -49,8 +49,7 @@ def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:
 def pareto_front_mask(points) -> np.ndarray:
     """Boolean mask of the non-dominated rows of an ``(N, M)`` array.
 
-    Vectorized counterpart of :func:`pareto_front` for the large sets the
-    surrogate screener and the exhaustive benchmarks handle (tens of
+    Vectorized counterpart of :func:`pareto_front` for large sets (tens of
     thousands of points, where the pairwise loop is prohibitive).  Points
     are visited in lexicographic order — a dominator always sorts strictly
     before anything it dominates — and each is compared against the

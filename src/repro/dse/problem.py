@@ -66,10 +66,6 @@ class ACIMDesignProblem:
         self.array_size = array_size
         self.estimator = estimator or ACIMEstimator()
         self.engine = engine or default_engine()
-        #: Optional callable ``(SpecBatch, metrics list) -> None`` invoked
-        #: after every exact batch evaluation — the surrogate screener
-        #: hooks in here to backfill its training set online.
-        self.observer = None
         self.local_array_sizes = tuple(sorted(set(local_array_sizes)))
         if not self.local_array_sizes:
             raise OptimizationError("at least one local array size is required")
@@ -198,8 +194,6 @@ class ACIMDesignProblem:
                     results[index] = result
             if len(batch):
                 metrics_list = self.engine.evaluate_specs(self.estimator, batch)
-                if self.observer is not None:
-                    self.observer(batch, metrics_list)
                 for index, metrics in zip(feasible_positions, metrics_list):
                     result = (metrics.objectives(), 0.0)
                     self._cache[genomes[index]] = result

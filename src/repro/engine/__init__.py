@@ -20,14 +20,12 @@ from repro.engine.cache import (
 )
 from repro.engine.engine import EngineStats, EvaluationEngine, default_engine
 from repro.engine.executors import BACKENDS, resolve_workers, validate_backend
-from repro.engine.screen import ScreeningEvaluator
 
 __all__ = [
     "BACKENDS",
     "EngineStats",
     "EvaluationCache",
     "EvaluationEngine",
-    "ScreeningEvaluator",
     "default_engine",
     "parameters_cache_key",
     "reset_shared_cache",

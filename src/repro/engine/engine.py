@@ -91,11 +91,6 @@ class EngineStats:
         worker_seconds: time spent inside ``estimator.evaluate_batch``
             computing cache misses (the model's own share of
             ``busy_seconds``; the rest is keying, caching and the store).
-        surrogate_exact: feasible candidates a surrogate screener
-            forwarded to the exact engine (0 when screening is off).
-        surrogate_screened: feasible candidates a surrogate screener
-            dropped before exact evaluation — the work the learned
-            pre-filter saved.
     """
 
     backend: str
@@ -108,8 +103,6 @@ class EngineStats:
     store_writes: int = 0
     busy_seconds: float = 0.0
     worker_seconds: float = 0.0
-    surrogate_exact: int = 0
-    surrogate_screened: int = 0
 
     @property
     def evaluations_per_second(self) -> float:
@@ -140,10 +133,6 @@ class EngineStats:
             store_writes=self.store_writes - baseline.store_writes,
             busy_seconds=self.busy_seconds - baseline.busy_seconds,
             worker_seconds=self.worker_seconds - baseline.worker_seconds,
-            surrogate_exact=self.surrogate_exact - baseline.surrogate_exact,
-            surrogate_screened=(
-                self.surrogate_screened - baseline.surrogate_screened
-            ),
         )
 
     def as_dict(self) -> Dict[str, float]:
@@ -160,8 +149,6 @@ class EngineStats:
             "busy_seconds": round(self.busy_seconds, 6),
             "worker_seconds": round(self.worker_seconds, 6),
             "evaluations_per_second": round(self.evaluations_per_second, 1),
-            "surrogate_exact": self.surrogate_exact,
-            "surrogate_screened": self.surrogate_screened,
         }
 
 
@@ -215,10 +202,6 @@ class EvaluationEngine:
         self._m_store_writes = registry.counter("engine.store.write")
         self._m_busy = registry.counter("engine.busy.seconds")
         self._m_worker = registry.counter("engine.worker.seconds")
-        self._m_surrogate_exact = registry.counter("engine.surrogate.exact")
-        self._m_surrogate_screened = registry.counter(
-            "engine.surrogate.screened"
-        )
         self._m_batch_size = registry.histogram(
             "engine.eval.batch_size", SIZE_BUCKETS
         )
@@ -312,8 +295,6 @@ class EvaluationEngine:
             store_writes=int(self._m_store_writes.value),
             busy_seconds=float(self._m_busy.value),
             worker_seconds=float(self._m_worker.value),
-            surrogate_exact=int(self._m_surrogate_exact.value),
-            surrogate_screened=int(self._m_surrogate_screened.value),
         )
 
     # -- generic parallel map -------------------------------------------------

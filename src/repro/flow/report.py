@@ -126,11 +126,6 @@ def engine_stats_table(stats: Dict[str, float]) -> List[Dict]:
         "worker_s": _clamped_seconds(stats.get("worker_seconds", 0.0)),
         "evals_per_s": evals_per_s,
     }
-    # Surrogate-screening counters appear only when screening actually ran,
-    # so plain runs keep their historical column set byte-identical.
-    if stats.get("surrogate_exact") or stats.get("surrogate_screened"):
-        row["surrogate_exact"] = stats.get("surrogate_exact", 0)
-        row["surrogate_screened"] = stats.get("surrogate_screened", 0)
     return [row]
 
 

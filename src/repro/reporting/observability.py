@@ -43,9 +43,6 @@ def metrics_table(snapshot: Dict[str, object]) -> List[Dict]:
 def run_metrics_table(rows: Iterable[Dict]) -> List[Dict]:
     """One row per recorded campaign run (``run_metrics`` store table)."""
     table: List[Dict] = []
-    any_surrogate = any(
-        (row.get("metrics", {}) or {}).get("surrogate") for row in rows
-    )
     for row in rows:
         metrics = row.get("metrics", {}) or {}
         physical = metrics.get("physical", {}) or {}
@@ -69,13 +66,6 @@ def run_metrics_table(rows: Iterable[Dict]) -> List[Dict]:
                 if physical else ""
             ),
         }
-        # Surrogate columns only appear when at least one run of the
-        # listing used screening, so plain listings stay unchanged.
-        if any_surrogate:
-            rendered["surrogate"] = metrics.get("surrogate", "off")
-            rendered["exact_evals"] = metrics.get("exact_evals", "")
-            rendered["screened_evals"] = metrics.get("screened_evals", "")
-            rendered["front_recall"] = metrics.get("front_recall", "")
         table.append(rendered)
     return table
 

@@ -26,7 +26,6 @@ from repro.dse.distill import DistillationCriteria
 from repro.dse.explorer import pareto_designs_from_population
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.dse.surrogate import SurrogateScreener, refine_seed_genomes
 from repro.engine import (
     EvaluationEngine,
     parameters_cache_key,
@@ -77,8 +76,6 @@ class CampaignResult:
         engine_stats: evaluation-engine statistics of this call, including
             ``store_hits`` (hits served from the persistent store).
         resumed: True when this call continued from a checkpoint.
-        surrogate: surrogate-screening summary of this call (mode,
-            exact/screened candidate counts); empty when screening is off.
     """
 
     name: str
@@ -91,7 +88,6 @@ class CampaignResult:
     runtime_seconds: float = 0.0
     engine_stats: Dict[str, float] = field(default_factory=dict)
     resumed: bool = False
-    surrogate: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """Flat summary row for report tables."""
@@ -160,33 +156,17 @@ class _CampaignManagerCore:
         min_height: int = 2,
         max_height: Optional[int] = None,
         stop_after_generations: Optional[int] = None,
-        surrogate: str = "off",
-        screen_fraction: float = 0.25,
     ) -> CampaignResult:
         """Start a new named campaign.
 
         ``stop_after_generations`` stops (with a committed checkpoint, so
         ``resume`` continues seamlessly) after that many generations in
         this call — the programmatic equivalent of killing the process.
-
-        ``surrogate`` selects the evaluation mode: ``"off"`` (exact
-        evaluation of every candidate, the historical behaviour, kept
-        bit-identical), ``"screen"`` (a learned surrogate pre-filters
-        offspring, sending only the most promising ``screen_fraction`` to
-        the exact engine) or ``"refine"`` (screening plus a population
-        warm-started from the store's cross-campaign Pareto set).
         """
         if self.store.get_campaign(name) is not None:
             raise StoreError(
                 f"campaign {name!r} already exists; use resume() to continue"
             )
-        if surrogate not in ("off", "screen", "refine"):
-            raise StoreError(
-                f"unknown surrogate mode {surrogate!r}; "
-                "expected 'off', 'screen' or 'refine'"
-            )
-        if not 0.0 < screen_fraction <= 1.0:
-            raise StoreError("screen_fraction must be in (0, 1]")
         config = config or NSGA2Config()
         campaign_config = {
             **{key: getattr(config, key) for key in _NSGA2_FIELDS},
@@ -195,8 +175,6 @@ class _CampaignManagerCore:
             "min_height": min_height,
             "max_height": max_height,
             "checkpoint_every": self.checkpoint_every,
-            "surrogate": surrogate,
-            "screen_fraction": screen_fraction,
         }
         self.store.create_campaign(
             name,
@@ -234,6 +212,7 @@ class _CampaignManagerCore:
                 f"current {self.params_digest[:12]}...)"
             )
         checkpoint = self.store.latest_checkpoint(name)
+        _reject_screened(name, record.config, checkpoint)
         return self._drive(
             name, record.array_size, record.config,
             checkpoint=checkpoint, stop_after=stop_after_generations,
@@ -266,56 +245,18 @@ class _CampaignManagerCore:
                 max_height=campaign_config["max_height"],
                 engine=engine,
             )
-            surrogate_mode = str(campaign_config.get("surrogate") or "off")
-            screener = None
-            if surrogate_mode != "off":
-                from repro.engine.screen import ScreeningEvaluator
-
-                # A fresh run seeds the surrogate's training set from the
-                # store's accumulated evaluations; a resumed leg restores
-                # the exact training-row set the checkpoint captured so
-                # the screening decisions replay bit-identically.
-                screener = SurrogateScreener(
-                    ScreeningEvaluator(
-                        engine,
-                        self.estimator,
-                        screen_fraction=float(
-                            campaign_config.get("screen_fraction", 0.25)
-                        ),
-                        store=self.store,
-                        seed_from_store=checkpoint is None,
-                    )
-                )
-                problem.observer = screener.observe
-            optimizer = NSGA2(problem, config, screener=screener)
+            optimizer = NSGA2(problem, config)
             if checkpoint is not None:
-                state = dict(checkpoint[1])
-                screener_state = state.pop("screener", None)
-                optimizer.restore_state(state)
-                if screener is not None and screener_state:
-                    screener.restore_state(
-                        screener_state, engine, self.estimator
-                    )
+                optimizer.restore_state(checkpoint[1])
             else:
-                seed_genomes = None
-                if surrogate_mode == "refine":
-                    seed_genomes = refine_seed_genomes(
-                        self.store,
-                        problem,
-                        params_digest=self.params_digest,
-                        limit=config.population_size,
-                    )
-                optimizer.initialize(seed_genomes=seed_genomes)
-                self.store.save_checkpoint(
-                    name, 0, _snapshot(optimizer, screener)
-                )
+                optimizer.initialize()
+                self.store.save_checkpoint(name, 0, optimizer.state())
             # The run-time cadence travels with the campaign so a resumed
             # leg keeps the commit cost profile the run was started with.
             checkpoint_every = int(
                 campaign_config.get("checkpoint_every", self.checkpoint_every)
             )
             steps_this_call = 0
-            generation_rows: List[Dict] = []
             generation_seconds = engine.metrics.histogram(
                 "campaign.generation.seconds"
             )
@@ -330,15 +271,6 @@ class _CampaignManagerCore:
                 generation_seconds.observe(time.perf_counter() - step_start)
                 generation_counter.inc()
                 steps_this_call += 1
-                if screener is not None:
-                    generation_rows.append({
-                        "generation": optimizer.generation,
-                        **screener.generation_snapshot([
-                            ind.objectives
-                            for ind in optimizer.result()
-                            if ind.feasible
-                        ]),
-                    })
                 stopping = (
                     stop_after is not None and steps_this_call >= stop_after
                 )
@@ -348,8 +280,7 @@ class _CampaignManagerCore:
                     or optimizer.generation % checkpoint_every == 0
                 ):
                     self.store.save_checkpoint(
-                        name, optimizer.generation,
-                        _snapshot(optimizer, screener),
+                        name, optimizer.generation, optimizer.state()
                     )
                 if stopping:
                     break
@@ -377,26 +308,6 @@ class _CampaignManagerCore:
             run_row = _run_metrics_row(
                 status, steps_this_call, runtime, stats_delta
             )
-            surrogate_summary: Dict[str, object] = {}
-            if screener is not None:
-                screener.persist()
-                surrogate_summary = {
-                    "mode": surrogate_mode,
-                    "exact_candidates": screener.exact_candidates,
-                    "screened_candidates": screener.screened_candidates,
-                    "training_rows": screener.evaluator.training_rows,
-                }
-                # Surrogate fields ride along in the same run_metrics row
-                # (attached only in surrogate modes so plain campaigns'
-                # rows stay byte-identical to earlier releases).
-                run_row["surrogate"] = surrogate_mode
-                run_row["exact_evals"] = screener.exact_candidates
-                run_row["screened_evals"] = screener.screened_candidates
-                run_row["front_recall"] = (
-                    generation_rows[-1]["front_recall"]
-                    if generation_rows else 0.0
-                )
-                run_row["generation_metrics"] = generation_rows
             self.store.put_run_metrics(name, run_row)
             return CampaignResult(
                 name=name,
@@ -409,7 +320,6 @@ class _CampaignManagerCore:
                 runtime_seconds=runtime,
                 engine_stats=stats_delta,
                 resumed=resumed,
-                surrogate=surrogate_summary,
             )
         finally:
             if owns_engine:
@@ -449,8 +359,8 @@ def _nsga2_fields(campaign_config: Dict) -> Dict:
 
     Rows written before the ``thread`` backend was removed may still name
     it; it maps to ``serial`` (results are backend-identical by
-    contract).  A stored ``shards`` key is simply not an NSGA-II field,
-    so it is ignored.
+    contract).  Keys of removed features (``shards``, the pre-1.5.0
+    screening knobs) are not NSGA-II fields, so they are ignored.
     """
     fields = {key: campaign_config[key] for key in _NSGA2_FIELDS}
     if fields["backend"] == "thread":
@@ -458,18 +368,22 @@ def _nsga2_fields(campaign_config: Dict) -> Dict:
     return fields
 
 
-def _snapshot(optimizer: NSGA2, screener: Optional[SurrogateScreener]) -> Dict:
-    """Checkpoint payload: optimiser state plus the screener's training set.
+def _reject_screened(
+    name: str, campaign_config: Dict, checkpoint: Optional[Tuple[int, Dict]]
+) -> None:
+    """Refuse to resume a campaign started with surrogate screening.
 
-    The screener key is popped back out before
-    :meth:`~repro.dse.nsga2.NSGA2.restore_state` sees the snapshot, so
-    plain campaigns' checkpoints are unchanged and old checkpoints restore
-    cleanly.
+    Screening was removed in 1.5.0.  Replaying such a campaign with exact
+    evaluation would quietly diverge from its checkpointed population, so
+    resume fails instead; start a new campaign to continue the search.
     """
-    state = optimizer.state()
-    if screener is not None:
-        state["screener"] = screener.state()
-    return state
+    screened = campaign_config.get("surrogate", "off") != "off"
+    if screened or (checkpoint is not None and "screener" in checkpoint[1]):
+        raise StoreError(
+            f"campaign {name!r} was run with surrogate screening, which was "
+            "removed in 1.5.0; it cannot be resumed — start a new campaign "
+            "instead"
+        )
 
 
 def _pareto_entries(

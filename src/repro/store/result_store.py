@@ -46,10 +46,10 @@ from repro.obs import get_tracer
 
 #: Version of the on-disk schema; bumped on incompatible layout changes.
 #: v2 added the ``template_index`` table and the ``(stage, created_at)``
-#: artifact index; v3 adds the ``surrogates`` table, the
-#: ``(params_digest, created_at)`` covering index surrogate training
-#: scans ride, and one ``(metric, spec)`` rank index per query metric
-#: (all purely additive, so older files migrate in place).
+#: artifact index; v3 adds one ``(metric, spec)`` rank index per query
+#: metric (all purely additive, so older files migrate in place).  v3
+#: files written before 1.5.0 also hold a table and an index of the
+#: removed screening feature; nothing reads them and they are left as is.
 SCHEMA_VERSION = 3
 
 #: Older schema versions this revision upgrades in place on open.  Every
@@ -158,17 +158,6 @@ CREATE TABLE IF NOT EXISTS run_metrics (
     created_at   REAL NOT NULL,
     metrics_json TEXT NOT NULL,
     PRIMARY KEY (campaign, run_index)
-);
-CREATE INDEX IF NOT EXISTS idx_evaluations_params_created
-    ON evaluations(params_digest, created_at);
-CREATE TABLE IF NOT EXISTS surrogates (
-    params_digest        TEXT NOT NULL,
-    version              INTEGER NOT NULL,
-    training_rows        INTEGER NOT NULL,
-    training_fingerprint TEXT NOT NULL,
-    model_json           TEXT NOT NULL,
-    created_at           REAL NOT NULL,
-    PRIMARY KEY (params_digest, version)
 );
 """ + "".join(
     f"CREATE INDEX IF NOT EXISTS idx_eval_rank_{metric}\n"
@@ -816,99 +805,6 @@ class ResultStore:
         ]
         return entries, total
 
-    # -- surrogate models ------------------------------------------------------
-
-    def training_rows(
-        self, params_digest: str, limit: Optional[int] = None
-    ) -> List[Tuple[Tuple[int, int, int, int], Tuple[float, ...]]]:
-        """``(spec tuple, metric tuple)`` training pairs, oldest first.
-
-        The surrogate training scan: rides the
-        ``idx_evaluations_params_created`` covering index, so warming a
-        screener from a million-row store never re-sorts in Python.
-        """
-        sql = (
-            "SELECT height, width, local, adc_bits, "
-            + ", ".join(_METRIC_FIELDS)
-            + " FROM evaluations WHERE params_digest = ? ORDER BY created_at"
-        )
-        arguments: Tuple = (params_digest,)
-        if limit is not None:
-            sql += " LIMIT ?"
-            arguments = (params_digest, int(limit))
-        return [
-            (
-                (row["height"], row["width"], row["local"], row["adc_bits"]),
-                tuple(row[field] for field in _METRIC_FIELDS),
-            )
-            for row in self._read().execute(sql, arguments)
-        ]
-
-    def put_surrogate(
-        self,
-        params_digest: str,
-        training_rows: int,
-        fingerprint: str,
-        model: Dict,
-    ) -> int:
-        """Version a fitted surrogate model in; returns its version.
-
-        Models are pure functions of their training set, so re-persisting
-        the latest fingerprint is a no-op returning the existing version;
-        a changed fingerprint (the training set grew or shifted) appends
-        the next version — readers always take the latest and validate
-        its fingerprint against their own training rows.
-        """
-        payload = json.dumps(model, sort_keys=True)
-        with self._write() as conn:
-            row = conn.execute(
-                "SELECT version, training_fingerprint FROM surrogates "
-                "WHERE params_digest = ? ORDER BY version DESC LIMIT 1",
-                (params_digest,),
-            ).fetchone()
-            if row is not None and row["training_fingerprint"] == fingerprint:
-                return int(row["version"])
-            version = 1 if row is None else int(row["version"]) + 1
-            conn.execute(
-                "INSERT INTO surrogates (params_digest, version, "
-                "training_rows, training_fingerprint, model_json, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (params_digest, version, int(training_rows), fingerprint,
-                 payload, time.time()),
-            )
-        return version
-
-    def latest_surrogate(self, params_digest: str) -> Optional[Dict]:
-        """The newest persisted surrogate of one parameter bundle."""
-        row = self._read().execute(
-            "SELECT * FROM surrogates WHERE params_digest = ? "
-            "ORDER BY version DESC LIMIT 1",
-            (params_digest,),
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            model = json.loads(row["model_json"])
-        except ValueError as error:
-            raise StoreError(
-                f"corrupt surrogate for params {params_digest[:12]}... "
-                f"(version {row['version']}): {error}"
-            )
-        return {
-            "params_digest": row["params_digest"],
-            "version": int(row["version"]),
-            "training_rows": int(row["training_rows"]),
-            "training_fingerprint": row["training_fingerprint"],
-            "model": model,
-            "created_at": float(row["created_at"]),
-        }
-
-    def surrogate_count(self) -> int:
-        """Number of persisted surrogate model versions."""
-        return self._read().execute(
-            "SELECT COUNT(*) AS n FROM surrogates"
-        ).fetchone()["n"]
-
     # -- campaigns -------------------------------------------------------------
 
     def create_campaign(
@@ -1208,7 +1104,6 @@ class ResultStore:
             "checkpoints": self.checkpoint_count(),
             "artifacts": self.artifact_count(),
             "templates": self.template_entry_count(),
-            "surrogates": self.surrogate_count(),
         }
 
 

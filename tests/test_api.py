@@ -136,6 +136,9 @@ class TestRequestValidation:
     def test_unknown_field_raises_request_error(self):
         with pytest.raises(RequestError, match="unknown field"):
             request_from_dict({"kind": "estimate", "heigth": 128})
+        # Surrogate screening was removed in 1.5.0: its knobs are typos now.
+        with pytest.raises(RequestError, match="unknown field"):
+            request_from_dict({"kind": "explore", "surrogate": "screen"})
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(RequestError, match="does not match"):

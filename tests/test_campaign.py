@@ -213,9 +213,10 @@ class TestLegacyCampaignRows:
     def test_legacy_thread_and_shards_row_resumes_bit_identically(
         self, tmp_path, reference_pareto
     ):
-        # A row persisted before the thread backend and sharding were
-        # removed: backend "thread" must resume as serial and the stored
-        # shards key must be ignored, landing on the same front.
+        # A row persisted before the thread backend, sharding and
+        # screening were removed: backend "thread" must resume as serial
+        # and the stored shards key and plain (surrogate="off") screening
+        # knobs must be ignored, landing on the same front.
         path = tmp_path / "legacy.sqlite"
         with ResultStore(path) as store:
             _CampaignManagerCore(store).run(
@@ -226,7 +227,10 @@ class TestLegacyCampaignRows:
                 "SELECT config_json FROM campaigns WHERE name = 'legacy'"
             ).fetchone()
             config = json.loads(config_json)
-            config.update(backend="thread", workers=2, shards=2)
+            config.update(
+                backend="thread", workers=2, shards=2,
+                surrogate="off", screen_fraction=0.25,
+            )
             conn.execute(
                 "UPDATE campaigns SET config_json = ? WHERE name = 'legacy'",
                 (json.dumps(config),),
@@ -237,6 +241,44 @@ class TestLegacyCampaignRows:
         assert result.status == "completed"
         assert result.engine_stats["backend"] == "serial"
         assert _pareto_signature(result.pareto_set) == reference_pareto
+
+    def _interrupted(self, path):
+        with ResultStore(path) as store:
+            _CampaignManagerCore(store).run(
+                "old", ARRAY_SIZE, config=CONFIG, stop_after_generations=2
+            )
+
+    @pytest.mark.parametrize("mode", ["screen", "refine"])
+    def test_screened_config_refuses_to_resume(self, tmp_path, mode):
+        # Surrogate screening was removed in 1.5.0; replaying a screened
+        # campaign unscreened would diverge from its checkpoint.
+        path = tmp_path / "screened.sqlite"
+        self._interrupted(path)
+        with sqlite3.connect(path) as conn:
+            (config_json,) = conn.execute(
+                "SELECT config_json FROM campaigns WHERE name = 'old'"
+            ).fetchone()
+            config = json.loads(config_json)
+            config.update(surrogate=mode, screen_fraction=0.25)
+            conn.execute(
+                "UPDATE campaigns SET config_json = ? WHERE name = 'old'",
+                (json.dumps(config),),
+            )
+        with ResultStore(path) as store:
+            with pytest.raises(StoreError, match="removed in 1.5.0"):
+                _CampaignManagerCore(store).resume("old")
+
+    def test_screener_checkpoint_refuses_to_resume(self, tmp_path):
+        path = tmp_path / "screened.sqlite"
+        self._interrupted(path)
+        with ResultStore(path) as store:
+            generation, state = store.latest_checkpoint("old")
+            store.save_checkpoint(
+                "old", generation, {**state, "screener": {"rows": []}}
+            )
+        with ResultStore(path) as store:
+            with pytest.raises(StoreError, match="removed in 1.5.0"):
+                _CampaignManagerCore(store).resume("old")
 
 
 class TestFlowRecording:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import OptimizationError
@@ -20,6 +21,7 @@ from repro.dse import (
     hypervolume_2d,
     non_dominated_sort,
     pareto_front,
+    pareto_front_mask,
 )
 from repro.dse.distill import distill_report
 from repro.dse.exhaustive import evaluate_all
@@ -284,6 +286,26 @@ class TestExplorer:
     def test_explore_many(self):
         results = _ExplorerCore(config=self.CONFIG).explore_many([1024, 2048])
         assert set(results) == {1024, 2048}
+
+
+class TestParetoFrontMask:
+    def test_matches_pairwise_reference(self):
+        rng = random.Random(11)
+        points = [
+            tuple(rng.uniform(0, 4) for _ in range(4)) for _ in range(300)
+        ]
+        # Inject exact duplicates: both copies must be retained, exactly
+        # as the O(n^2) reference keeps them.
+        points += points[:20]
+        mask = pareto_front_mask(points)
+        reference = set(pareto_front(points))
+        assert set(np.flatnonzero(mask).tolist()) == reference
+
+    def test_degenerate_inputs(self):
+        assert pareto_front_mask(np.empty((0, 4))).tolist() == []
+        assert pareto_front_mask([(1.0, 2.0)]).tolist() == [True]
+        with pytest.raises(OptimizationError):
+            pareto_front_mask(np.zeros(3))
 
 
 class TestExhaustiveBaseline:

@@ -326,8 +326,6 @@ class TestEngineStatsByteIdentity:
             "busy_seconds": 0.0,
             "worker_seconds": 0.0,
             "evaluations_per_second": 0.0,
-            "surrogate_exact": 0,
-            "surrogate_screened": 0,
         }
         assert stats == expected
         assert list(stats) == list(expected)

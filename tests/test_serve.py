@@ -320,6 +320,10 @@ class TestServerEndpoints:
             client.submit({"kind": "warp-drive"})
         assert info.value.status == 400
         assert info.value.error["field"] == "kind"
+        with pytest.raises(ServeHTTPError) as info:
+            client.submit({"kind": "explore", "surrogate": "screen"})
+        assert info.value.status == 400
+        assert info.value.error["code"] == "request"
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeHTTPError) as info:

@@ -2,12 +2,14 @@
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.distill import DistillationCriteria
 from repro.engine import (
@@ -25,6 +27,7 @@ from repro.store import (
     canonical_key,
     key_digest,
 )
+from repro.store.result_store import RANK_METRICS
 
 
 def _entries(estimator, specs):
@@ -240,6 +243,97 @@ class TestQuery:
     def test_unknown_rank_metric_rejected(self, store):
         with pytest.raises(StoreError, match="rank metric"):
             store.query(rank_by="speed")
+
+    def test_rank_query_plan_uses_index_no_temp_btree(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        ResultStore(path).close()
+        conn = sqlite3.connect(path)
+        for metric, descending in RANK_METRICS.items():
+            direction = "DESC" if descending else "ASC"
+            order = ", ".join(
+                f"{column} {direction}"
+                for column in (metric, "height", "width", "local", "adc_bits")
+            )
+            plan = " ".join(
+                row[3] for row in conn.execute(
+                    f"EXPLAIN QUERY PLAN SELECT * FROM evaluations "
+                    f"ORDER BY {order}"
+                )
+            )
+            assert f"idx_eval_rank_{metric}" in plan, metric
+            assert "TEMP B-TREE" not in plan, metric
+        conn.close()
+
+    def test_fast_path_matches_python_path(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            engine = EvaluationEngine("serial", store=store)
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(4096))
+            engine.flush_store()
+            for rank_by in ("tops_per_watt", "snr_db", "area_f2_per_bit"):
+                fast, fast_total = store.query_page(
+                    rank_by=rank_by, pareto_only=False
+                )
+                # Reference: the Python sort key on the same rows.
+                expected = sorted(
+                    fast,
+                    key=lambda e: (
+                        getattr(e.metrics, rank_by), e.spec.as_tuple()
+                    ),
+                    reverse=RANK_METRICS[rank_by],
+                )
+                assert [e.spec.as_tuple() for e in fast] == (
+                    [e.spec.as_tuple() for e in expected]
+                )
+                # Pagination slices the same total ordering.
+                page, total = store.query_page(
+                    rank_by=rank_by, pareto_only=False, limit=5, offset=3
+                )
+                assert total == fast_total
+                assert [e.spec.as_tuple() for e in page] == (
+                    [e.spec.as_tuple() for e in fast[3:8]]
+                )
+            engine.close()
+
+
+class TestLeftoverScreeningTable:
+    """Files written before 1.5.0 carry the removed screening feature's
+    ``surrogates`` table and training-scan index; they stay untouched."""
+
+    def test_new_store_creates_neither(self, tmp_path):
+        path = tmp_path / "new.sqlite"
+        ResultStore(path).close()
+        with sqlite3.connect(path) as conn:
+            names = {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master"
+            )}
+        assert "surrogates" not in names
+        assert "idx_evaluations_params_created" not in names
+
+    def test_old_file_opens_queries_and_reports_stats(self, tmp_path, estimator):
+        path = tmp_path / "old.sqlite"
+        with ResultStore(path) as store:
+            store.put_many(_entries(estimator, SPECS))
+        with sqlite3.connect(path) as conn:
+            conn.executescript(
+                "CREATE TABLE surrogates (params_digest TEXT NOT NULL, "
+                "version INTEGER NOT NULL, training_rows INTEGER NOT NULL, "
+                "training_fingerprint TEXT NOT NULL, model_json TEXT NOT NULL, "
+                "created_at REAL NOT NULL, "
+                "PRIMARY KEY (params_digest, version));"
+                "INSERT INTO surrogates VALUES ('p', 1, 3, 'f', '{}', 0.0);"
+                "CREATE INDEX idx_evaluations_params_created "
+                "ON evaluations(params_digest, created_at);"
+            )
+        with ResultStore(path) as store:
+            assert len(store.query(pareto_only=False)) == len(SPECS)
+            stats = store.stats()
+            assert stats["schema_version"] == SCHEMA_VERSION == 3
+            assert stats["evaluations"] == len(SPECS)
+            assert "surrogates" not in stats
+        with sqlite3.connect(path) as conn:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM surrogates"
+            ).fetchone() == (1,)
 
 
 class TestAtomicJsonExport:
