@@ -5,7 +5,8 @@
 #   make api-smoke         every repro.api request kind from JSON through one
 #                          Session, with DeprecationWarning promoted to error
 #                          (proves the new path avoids the legacy front doors)
-#   make campaign-smoke    tiny campaign -> kill -> resume -> query (store path)
+#   make campaign-smoke    tiny campaign -> kill -> resume -> overlapping
+#                          campaign (each design stored once) -> query
 #   make physical-smoke    two-design flow with macro reuse on: >= 1 macro
 #                          cache hit and byte-identical GDSII vs reuse-off
 #   make template-smoke    three neighbouring designs: columns derived from

@@ -9,8 +9,9 @@ typed session API (the CI ``make campaign-smoke`` target):
    process would) and run it to completion;
 3. assert the resumed Pareto front is bit-identical to an uninterrupted
    exploration with the same configuration;
-4. run a second, overlapping campaign and assert it is served warm from
-   the persistent store (``store_hits > 0``);
+4. run a second, overlapping campaign and assert the store holds each
+   distinct evaluated design exactly once (no duplicate ``key_digest``)
+   — every evaluation is written through, and overlap adds no rows;
 5. query the store across both campaigns.
 
 Exit code 0 means every durability guarantee held.
@@ -18,6 +19,7 @@ Exit code 0 means every durability guarantee held.
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import tempfile
 from pathlib import Path
@@ -78,18 +80,30 @@ def main() -> int:
             print("kill -> resume Pareto front is bit-identical to the "
                   "uninterrupted run")
 
-        # 4. Overlapping second campaign warm-starts from the store.
+        # 4. Overlapping second campaign: each design stored once.
         with Session.from_config(config) as session:
             second = session.campaign(CampaignRequest(
                 name="smoke-overlap", array_size=ARRAY_SIZE,
                 population=POPULATION, generations=3, seed=9,
             ))
-            store_hits = second.engine_stats.get("store_hits", 0)
-            if store_hits <= 0:
-                print("FAIL: overlapping campaign saw no persistent-store hits")
+            conn = sqlite3.connect(store_path)
+            rows, digests = conn.execute(
+                "SELECT COUNT(*), COUNT(DISTINCT key_digest) FROM evaluations"
+            ).fetchone()
+            designs, = conn.execute(
+                "SELECT COUNT(*) FROM (SELECT DISTINCT height, width, local, "
+                "adc_bits, params_digest, technology FROM evaluations)"
+            ).fetchone()
+            conn.close()
+            computed = second.engine_stats["evaluations"]
+            if not rows == digests == designs >= computed > 0:
+                print(f"FAIL: store holds {rows} rows, {digests} distinct "
+                      f"digests and {designs} distinct designs; the "
+                      f"overlapping campaign computed {computed}")
                 return 1
-            print(f"overlapping campaign served {store_hits} evaluations "
-                  f"from the persistent store")
+            print(f"store holds each of its {designs} evaluated designs "
+                  f"exactly once ({computed} computed by the overlapping "
+                  f"campaign)")
 
             # 5. Cross-campaign query.
             query = session.query(QueryRequest(

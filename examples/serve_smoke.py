@@ -18,7 +18,7 @@ wire surface with a :class:`~repro.serve.client.ServeClient`:
    the 429 rate-limit envelope with its retry hint;
 5. ``/v1/metrics`` + ``/v1/healthz`` accounting, then a graceful
    drain-and-shutdown (queue refuses new work, in-flight jobs finish,
-   the session closes flushing the store write-behind).
+   the session closes).
 
 Exit code 0 means the serving layer is alive end-to-end.
 """

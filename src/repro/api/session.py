@@ -2,7 +2,8 @@
 
 A session owns the shared execution substrate — one
 :class:`~repro.engine.engine.EvaluationEngine` (backend, worker pool,
-memoization cache), an optional persistent
+memoization cache: the process-wide one, or a private one when the
+session has a store), an optional persistent
 :class:`~repro.store.result_store.ResultStore`, the
 :class:`~repro.model.estimator.ModelParameters` bundle and the technology
 — and executes typed requests against it:
@@ -58,7 +59,7 @@ from repro.dse.explorer import ExplorationResult, _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.dse.pareto import pareto_front
 from repro.dse.sensitivity import SensitivityAnalyzer
-from repro.engine import EvaluationCache, EvaluationEngine, validate_backend
+from repro.engine import EvaluationEngine, validate_backend
 from repro.errors import EngineError, RequestError, StoreError, TechnologyError
 from repro.flow.controller import FlowInputs, _FlowCore
 from repro.model.estimator import ACIMEstimator, ModelParameters
@@ -85,8 +86,6 @@ class SessionConfig:
         store: path of the persistent SQLite result store (None: no
             persistence; campaigns and queries then require a store to be
             injected programmatically).
-        cache_size: private evaluation-cache capacity (None: the
-            process-wide shared cache).
         technology: named technology the physical workflows build on
             (see :data:`TECHNOLOGIES`).
         calibrated_model: use :meth:`ModelParameters.calibrated` (fitted
@@ -96,7 +95,6 @@ class SessionConfig:
     backend: str = "serial"
     workers: Optional[int] = None
     store: Optional[str] = None
-    cache_size: Optional[int] = None
     technology: str = "generic28"
     calibrated_model: bool = False
 
@@ -107,12 +105,6 @@ class SessionConfig:
             not isinstance(self.workers, int) or self.workers < 1
         ):
             raise EngineError(f"workers must be a positive integer, got {self.workers!r}")
-        if self.cache_size is not None and (
-            not isinstance(self.cache_size, int) or self.cache_size < 1
-        ):
-            raise EngineError(
-                f"cache_size must be a positive integer, got {self.cache_size!r}"
-            )
         if self.technology not in TECHNOLOGIES:
             raise TechnologyError(
                 f"unknown technology {self.technology!r}; "
@@ -152,8 +144,8 @@ class Session:
             session on the shared cache).
         estimator: estimation model override (defaults to the config's
             stock or calibrated bundle).
-        engine: externally owned engine to run on (flushed, never closed,
-            by this session).
+        engine: externally owned engine to run on (never closed by this
+            session).
         store: externally owned result store (takes precedence over
             ``config.store``; never closed by this session).
 
@@ -193,18 +185,13 @@ class Session:
             self.engine = engine or EvaluationEngine(
                 self.config.backend,
                 workers=self.config.workers,
-                cache=(
-                    EvaluationCache(self.config.cache_size)
-                    if self.config.cache_size is not None
-                    else None
-                ),
                 store=self.store,
                 metrics=self.metrics,
             )
         except BaseException:
-            # Engine/estimator construction failed (e.g. corrupt store rows
-            # during warm-start hydration): don't leak the SQLite handle we
-            # just opened — close() is unreachable on a half-built session.
+            # Engine/estimator construction failed: don't leak the SQLite
+            # handle we just opened — close() is unreachable on a
+            # half-built session.
             if self._owns_store and self.store is not None:
                 self.store.close()
             raise
@@ -234,15 +221,14 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Drain and release everything the session owns; idempotent.
+        """Release everything the session owns; idempotent.
 
-        Draining is complete and ordered: the engine's write-behind store
-        batch is flushed (and its worker pool torn down when owned), so
-        every computed evaluation and every physical artifact is durable
-        before the store connection closes.  The store closes even when
-        engine teardown raises, and a second ``close()`` — e.g. a signal
-        handler racing a context-manager exit during server shutdown — is
-        a no-op rather than a double release.
+        Every computed evaluation and every physical artifact was written
+        through when it was produced, so nothing is drained: an owned
+        engine's worker pool is torn down, then the owned store connection
+        closes — even when engine teardown raises.  A second ``close()``
+        — e.g. a signal handler racing a context-manager exit during
+        server shutdown — is a no-op rather than a double release.
         """
         if self._closed:
             return
@@ -250,8 +236,6 @@ class Session:
         try:
             if self._owns_engine:
                 self.engine.close()
-            else:
-                self.engine.flush_store()
         finally:
             if self._owns_store and self.store is not None:
                 self.store.close()
@@ -601,9 +585,6 @@ class Session:
         """Query the persistent store (design points or campaigns)."""
         request.validate()
         store = self._require_store(request.kind)
-        # Read-your-writes: evaluations still sitting in the engine's
-        # write-behind buffer must be visible to queries on this session.
-        self.engine.flush_store()
         start = time.perf_counter()
         baseline = self.engine.stats.snapshot()
         if request.what == "campaigns":

@@ -95,8 +95,8 @@ def _session_parent() -> argparse.ArgumentParser:
                             "default pool size: all CPU cores)")
     group.add_argument("--store", type=Path, default=None,
                        help="persistent SQLite result store the session "
-                            "reads (warm start) and writes (default: none; "
-                            "campaign commands default to "
+                            "writes evaluations through to and queries "
+                            "(default: none; campaign commands default to "
                             f"{DEFAULT_CAMPAIGN_STORE})")
     group.add_argument("--json", nargs="?", const="-", default=None,
                        metavar="PATH", dest="json_out",

@@ -13,8 +13,10 @@ sweeps and the flow controller's netlist/layout fan-out.  It combines
   :meth:`EvaluationEngine.map` fans arbitrary picklable callables
   (high-fidelity Monte Carlo, layout generation) out to a
   ``ProcessPoolExecutor`` (see :mod:`repro.engine.executors`),
-* the shared bounded memoization cache keyed by ``(spec, model-params,
-  tech)`` (see :mod:`repro.engine.cache`), and
+* the bounded memoization cache keyed by ``(spec, model-params, tech)``
+  (see :mod:`repro.engine.cache`): the process-wide one for a store-less
+  engine, a private one for a store-backed engine, which writes every
+  computed miss through to its store before caching it, and
 * hit/miss/timing statistics exposed to results and reports.
 
 Determinism contract: for a fixed input order the engine returns results in
@@ -26,7 +28,6 @@ execution (the regression suite asserts this bit-identically).
 from __future__ import annotations
 
 import functools
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -41,7 +42,7 @@ from repro.engine.cache import (
     spec_tuple_cache_key,
 )
 from repro.engine.executors import resolve_workers, validate_backend
-from repro.errors import WorkerCrashError
+from repro.errors import EngineError, WorkerCrashError
 from repro.obs import MetricsRegistry, SIZE_BUCKETS, get_tracer
 
 Item = TypeVar("Item")
@@ -84,13 +85,11 @@ class EngineStats:
         tasks: total items routed through the engine.
         evaluations: spec evaluations actually computed (cache misses).
         cache_hits: spec evaluations answered from the cache.
-        store_hits: cache hits whose entry was hydrated from the
-            persistent result store (work amortized from past campaigns).
-        store_writes: evaluations flushed to the persistent store.
         busy_seconds: wall-clock time spent inside engine calls.
         worker_seconds: time spent inside ``estimator.evaluate_batch``
             computing cache misses (the model's own share of
-            ``busy_seconds``; the rest is keying, caching and the store).
+            ``busy_seconds``; the rest is keying, caching and the store
+            write-through).
     """
 
     backend: str
@@ -99,8 +98,6 @@ class EngineStats:
     tasks: int = 0
     evaluations: int = 0
     cache_hits: int = 0
-    store_hits: int = 0
-    store_writes: int = 0
     busy_seconds: float = 0.0
     worker_seconds: float = 0.0
 
@@ -129,8 +126,6 @@ class EngineStats:
             tasks=self.tasks - baseline.tasks,
             evaluations=self.evaluations - baseline.evaluations,
             cache_hits=self.cache_hits - baseline.cache_hits,
-            store_hits=self.store_hits - baseline.store_hits,
-            store_writes=self.store_writes - baseline.store_writes,
             busy_seconds=self.busy_seconds - baseline.busy_seconds,
             worker_seconds=self.worker_seconds - baseline.worker_seconds,
         )
@@ -144,8 +139,6 @@ class EngineStats:
             "tasks": self.tasks,
             "evaluations": self.evaluations,
             "cache_hits": self.cache_hits,
-            "store_hits": self.store_hits,
-            "store_writes": self.store_writes,
             "busy_seconds": round(self.busy_seconds, 6),
             "worker_seconds": round(self.worker_seconds, 6),
             "evaluations_per_second": round(self.evaluations_per_second, 1),
@@ -160,13 +153,14 @@ class EvaluationEngine:
             always runs inline; the backend only decides whether
             :meth:`map` fans out to a process pool.
         workers: pool size; defaults to the machine's CPU count.
-        cache: evaluation cache; defaults to the process-wide shared cache.
+        cache: evaluation cache of a store-less engine; defaults to the
+            process-wide shared cache.
         store: optional :class:`~repro.store.result_store.ResultStore`.
-            On startup the LRU cache is hydrated from the store (every past
-            campaign's evaluations become warm cache hits), and computed
-            misses are written behind in batches of ``store_flush_size``
-            (plus a final flush on :meth:`close`/:meth:`flush_store`).
-        store_flush_size: write-behind batch size.
+            Each batch of computed misses is written through to it with
+            ``put_many`` before it enters the cache, and the engine never
+            reads the store back.  A store-backed engine always owns a
+            private cache, so every cached key is already stored; passing
+            ``cache`` as well raises :class:`~repro.errors.EngineError`.
         metrics: :class:`~repro.obs.MetricsRegistry` the engine records
             into; defaults to a private registry.  All statistics live in
             the registry under ``engine.*`` names and :attr:`stats`
@@ -183,11 +177,18 @@ class EvaluationEngine:
         workers: Optional[int] = None,
         cache: Optional[EvaluationCache] = None,
         store=None,
-        store_flush_size: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.backend = validate_backend(backend)
         self.workers = 1 if self.backend == "serial" else resolve_workers(workers)
+        if store is not None:
+            if cache is not None:
+                raise EngineError(
+                    "a store-backed engine owns a private cache; pass a "
+                    "cache or a store, not both"
+                )
+            cache = EvaluationCache()
+        self.store = store
         self.cache = cache if cache is not None else shared_cache()
         self._executor = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -198,28 +199,11 @@ class EvaluationEngine:
         self._m_tasks = registry.counter("engine.eval.tasks")
         self._m_evaluations = registry.counter("engine.eval.computed")
         self._m_cache_hits = registry.counter("engine.cache.hit")
-        self._m_store_hits = registry.counter("engine.store.hit")
-        self._m_store_writes = registry.counter("engine.store.write")
         self._m_busy = registry.counter("engine.busy.seconds")
         self._m_worker = registry.counter("engine.worker.seconds")
         self._m_batch_size = registry.histogram(
             "engine.eval.batch_size", SIZE_BUCKETS
         )
-        self.store = store
-        self.store_flush_size = max(1, store_flush_size)
-        # Concurrent threads (a serving layer's workers) may evaluate
-        # through one engine; the write-behind buffer swap must be atomic
-        # or a flush could drop entries appended between put_many and
-        # clear.
-        self._store_lock = threading.Lock()
-        self._store_buffer: List = []
-        self._store_keys = (
-            set(store.hydrate(self.cache)) if store is not None else set()
-        )
-        # Keys this engine has already buffered/flushed to the store —
-        # kept apart from ``_store_keys`` so ``store_hits`` keeps meaning
-        # "hit hydrated from the store", not "hit we wrote ourselves".
-        self._written_keys: set = set()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -234,37 +218,13 @@ class EvaluationEngine:
             self._executor = None
 
     def close(self) -> None:
-        """Flush the store buffer and release the pool workers (idempotent).
+        """Release the pool workers (idempotent).
 
-        The pending write-behind batch is flushed *before* teardown — and
-        still flushed if teardown is what raises — so no computed
-        evaluation is lost on shutdown.  The engine transparently rebuilds
-        the pool if it is used again.
+        Nothing is pending: a store-backed engine wrote every computed
+        evaluation through before returning it.  The engine transparently
+        rebuilds the pool if it is used again.
         """
-        try:
-            self.flush_store()
-        finally:
-            self._shutdown_executor()
-
-    def flush_store(self) -> None:
-        """Write buffered evaluations behind to the persistent store.
-
-        The buffer is swapped out under the lock and written outside it,
-        so concurrent evaluating threads never block on SQLite and an
-        entry appended mid-flush lands in the next batch instead of being
-        cleared unwritten.
-        """
-        if self.store is None:
-            return
-        with self._store_lock:
-            batch, self._store_buffer = self._store_buffer, []
-        if batch:
-            started = time.perf_counter()
-            self.store.put_many(batch)
-            self._m_store_writes.add(len(batch))
-            self.metrics.histogram("store.flush.seconds").observe(
-                time.perf_counter() - started
-            )
+        self._shutdown_executor()
 
     def __enter__(self) -> "EvaluationEngine":
         return self
@@ -291,8 +251,6 @@ class EvaluationEngine:
             tasks=int(self._m_tasks.value),
             evaluations=int(self._m_evaluations.value),
             cache_hits=int(self._m_cache_hits.value),
-            store_hits=int(self._m_store_hits.value),
-            store_writes=int(self._m_store_writes.value),
             busy_seconds=float(self._m_busy.value),
             worker_seconds=float(self._m_worker.value),
         )
@@ -377,8 +335,11 @@ class EvaluationEngine:
         directly, skipping the per-spec object hop).  Returns one
         :class:`~repro.model.estimator.ACIMMetrics` per spec, in input
         order.  Hits are served from the cache; misses are deduplicated,
-        gathered into one miss SpecBatch, computed inline and inserted
-        into the cache.
+        gathered into one miss SpecBatch and computed inline.  With a
+        store the computed batch is written through (one ``put_many``)
+        before it enters the cache, so a failed write raises
+        :class:`~repro.errors.StoreError` from this call and caches
+        nothing.
         """
         if isinstance(specs, SpecBatch):
             batch = specs
@@ -409,8 +370,6 @@ class EvaluationEngine:
                 # spec, which is what keeps the instrumented serial path
                 # inside the overhead budget.
                 cache_hits = 0
-                store_hits = 0
-                unstored_hits: List = []
                 for index, key in enumerate(keys):
                     if key in results or key in pending:
                         continue
@@ -418,31 +377,11 @@ class EvaluationEngine:
                     if cached is not None:
                         results[key] = cached
                         cache_hits += 1
-                        if key in self._store_keys:
-                            store_hits += 1
-                        elif (
-                            self.store is not None
-                            and key not in self._written_keys
-                        ):
-                            # A hit the cache already held (e.g. warmed by
-                            # another engine sharing the process-wide
-                            # cache) that this store has never seen: it
-                            # must still reach the store, or queries would
-                            # miss work the engine demonstrably served.
-                            unstored_hits.append((key, cached))
                     else:
                         pending.add(key)
                         missing_indices.append(index)
-                if unstored_hits:
-                    with self._store_lock:
-                        self._written_keys.update(
-                            key for key, _ in unstored_hits
-                        )
-                        self._store_buffer.extend(unstored_hits)
                 if cache_hits:
                     self._m_cache_hits.add(cache_hits)
-                if store_hits:
-                    self._m_store_hits.add(store_hits)
                 eval_span.set("misses", len(missing_indices))
                 if missing_indices:
                     if batch is not None:
@@ -452,22 +391,12 @@ class EvaluationEngine:
                             [spec_list[i] for i in missing_indices]
                         )
                     computed = self._compute(estimator, missing)
-                    for index, metrics in zip(missing_indices, computed):
-                        key = keys[index]
+                    missing_keys = [keys[index] for index in missing_indices]
+                    if self.store is not None:
+                        self.store.put_many(list(zip(missing_keys, computed)))
+                    for key, metrics in zip(missing_keys, computed):
                         results[key] = metrics
                         self.cache.put(key, metrics)
-                    if self.store is not None:
-                        with self._store_lock:
-                            self._written_keys.update(
-                                keys[i] for i in missing_indices
-                            )
-                            self._store_buffer.extend(
-                                (keys[i], results[keys[i]])
-                                for i in missing_indices
-                            )
-                            buffered = len(self._store_buffer)
-                        if buffered >= self.store_flush_size:
-                            self.flush_store()
                     self._m_evaluations.add(len(missing_indices))
                 return [results[key] for key in keys]
         finally:

@@ -74,16 +74,15 @@ class FlowInputs:
             When left at ``serial`` while ``nsga2.backend`` requests a
             parallel backend, the optimizer's choice drives the whole flow.
         workers: engine pool size (None: ``nsga2.workers``, else CPU count).
-        store: optional persistent result store.  The flow's engine warm
-            starts from it (past evaluations become cache hits), computed
-            evaluations are written behind into it, and the finished run is
-            recorded as completed campaign metadata plus its Pareto set.
+        store: optional persistent result store.  The flow's engine writes
+            every computed evaluation through into it, and the finished run
+            is recorded as completed campaign metadata plus its Pareto set.
         campaign_name: name the run is recorded under in the store
             (default ``flow-<array_size>``; re-runs replace the record).
         engine: an externally owned :class:`EvaluationEngine` to run the
             whole flow through (the session layer shares its engine this
-            way).  A borrowed engine is flushed, never closed, by the
-            flow; when omitted the flow builds and owns one from
+            way).  A borrowed engine is never closed by the flow; when
+            omitted the flow builds and owns one from
             ``backend``/``workers``/``store``.
         reuse: ``"auto"`` runs netlist/layout generation through the
             physical pipeline's macro/artifact cache (every unique
@@ -209,7 +208,7 @@ class _FlowCore:
     Internal implementation behind :meth:`repro.api.Session.flow` (and
     direct core-level consumers).  The flow runs on one
     :class:`EvaluationEngine` — either the externally owned one passed via
-    ``FlowInputs.engine`` (flushed but never closed here) or one it builds
+    ``FlowInputs.engine`` (never closed here) or one it builds
     from the inputs' ``backend``/``workers`` and owns; exploration and the
     netlist/layout fan-out share its pool and cache.  An owned pool is
     released at the end of every :meth:`run` (and respawned lazily on the
@@ -269,13 +268,11 @@ class _FlowCore:
     def close(self) -> None:
         """Release an owned engine's worker pool (idempotent).
 
-        A borrowed engine (``FlowInputs.engine``) belongs to its session;
-        only its write-behind store buffer is flushed.
+        A borrowed engine (``FlowInputs.engine``) belongs to its session
+        and is left as is.
         """
         if self._owns_engine:
             self.engine.close()
-        else:
-            self.engine.flush_store()
 
     def __enter__(self) -> "_FlowCore":
         return self
@@ -385,16 +382,12 @@ class _FlowCore:
                             result.layouts[spec_tuple] = report
             if self.inputs.store is not None:
                 self._record_campaign(exploration, result.physical_stats)
-                # Flush the write-behind buffer before the statistics are
-                # snapshotted so store_writes reflects this run.
-                self.engine.flush_store()
             result.engine_stats = self.engine.stats.since(stats_baseline).as_dict()
             result.runtime_seconds = time.perf_counter() - start
             return result
         finally:
-            # Release owned pool workers between runs (and flush the
-            # write-behind store buffer); the executor respawns lazily on
-            # the next run.  Borrowed engines are only flushed.
+            # Release owned pool workers between runs; the executor
+            # respawns lazily on the next run.
             self.close()
 
     def _use_pipeline(self) -> bool:

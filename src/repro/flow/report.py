@@ -120,8 +120,6 @@ def engine_stats_table(stats: Dict[str, float]) -> List[Dict]:
         "tasks": stats.get("tasks", 0),
         "evaluations": evaluations,
         "cache_hits": stats.get("cache_hits", 0),
-        "store_hits": stats.get("store_hits", 0),
-        "store_writes": stats.get("store_writes", 0),
         "busy_s": busy,
         "worker_s": _clamped_seconds(stats.get("worker_seconds", 0.0)),
         "evals_per_s": evals_per_s,

@@ -23,7 +23,7 @@ same order the legacy ``+=`` counters used, which is what keeps the
 registry-backed ``EngineStats`` bit-identical to the pre-refactor one.
 
 Metric names are dotted lowercase paths (``engine.cache.hit``,
-``store.flush.seconds``); the catalogue lives in
+``store.put.seconds``); the catalogue lives in
 ``docs/observability.md``.
 """
 

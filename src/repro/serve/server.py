@@ -28,16 +28,16 @@ Endpoints (``docs/serving.md`` is the full protocol reference):
 * ``GET /v1/healthz`` — liveness/drain state.
 
 Concurrency model: estimation/exploration/query workloads run fully
-concurrently on the shared engine (its cache, metrics and write-behind
-store buffer are thread-safe); physical workloads (``flow``/``layout``)
+concurrently on the shared engine (its cache, metrics and store
+write-through are thread-safe); physical workloads (``flow``/``layout``)
 serialize on one internal lock because the macro library mutates shared
 layout state.  Per-tenant fairness is enforced by the queue's bounded
 concurrency, admission by token-bucket rate limits.
 
 Shutdown: :meth:`ReproServer.shutdown` (or SIGTERM through ``repro
 serve``) stops admission, drains queued and in-flight jobs, then closes
-the session — flushing the engine's write-behind batch so every computed
-evaluation is durable before exit.
+the session.  Every computed evaluation was already written through to
+the store by the request that computed it.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ class ReproServer:
 
     Args:
         config: server settings; ``config.session`` describes the shared
-            substrate (set ``store`` there to enable campaign streaming
-            and cross-tenant warm-start).
+            substrate (set ``store`` there to enable campaigns, campaign
+            streaming and store queries).
         session: externally owned session to serve instead of building
             one (never closed by this server).
 
@@ -318,8 +318,6 @@ class ReproServer:
         self._workers = []
         if self._owns_session:
             self.session.close()
-        else:
-            self.session.engine.flush_store()
         self._stopped.set()
 
     def __enter__(self) -> "ReproServer":

@@ -4,10 +4,11 @@ This package makes evaluated design points durable, shared artifacts:
 
 * :class:`~repro.store.result_store.ResultStore` — an SQLite-backed,
   content-addressed store of evaluated ``(spec, model-params, tech)``
-  triples with atomic writes and schema versioning; the evaluation
-  engine hydrates its LRU cache from it on startup and flushes computed
-  misses back (write-behind), so every past campaign's work becomes a
-  warm cache hit for future ones.
+  triples with atomic writes and schema versioning.  A store-backed
+  evaluation engine writes each batch of computed misses through to it
+  before caching them, and never reads it back: recomputing a design
+  with the closed-form model is cheaper than loading it, so the store is
+  the durable, queryable record (``query designs``), not a cache.
 * :mod:`~repro.store.campaign` — named, checkpointed NSGA-II
   exploration campaigns (generation snapshots + RNG state) that can be
   killed and resumed bit-identically, driven through
@@ -16,8 +17,8 @@ This package makes evaluated design points durable, shared artifacts:
 * the ``artifacts`` table — content-addressed physical-pipeline
   artifacts (solved macros), see ``docs/physical.md``.
 
-See ``docs/campaigns.md`` for the store layout, warm-start semantics and
-resume guarantees.
+See ``docs/campaigns.md`` for the store layout, write-through semantics
+and resume guarantees.
 """
 
 from repro.store.campaign import (

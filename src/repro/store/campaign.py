@@ -10,10 +10,10 @@ checkpoint, reproducing the uninterrupted run bit-identically (the NSGA-II
 step loop consumes the RNG deterministically and design evaluation is
 pure, so replaying from any snapshot converges on the same Pareto set).
 
-Every campaign's engine is store-backed: its evaluation cache is hydrated
-from the store on startup and computed misses are flushed back in batches,
-so overlapping campaigns amortize each other's evaluations across process
-lifetimes (visible as ``store_hits`` in the engine statistics).
+Every campaign's engine is store-backed: each batch of computed misses
+is written through to the store before it is cached, so every design a
+campaign evaluated is queryable (once, by content address) as soon as
+the generation that evaluated it returns.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class CampaignResult:
         evaluations: objective evaluations spent so far (all calls).
         pareto_set: the final Pareto set (empty while interrupted).
         runtime_seconds: wall-clock of this call.
-        engine_stats: evaluation-engine statistics of this call, including
-            ``store_hits`` (hits served from the persistent store).
+        engine_stats: evaluation-engine statistics of this call.
         resumed: True when this call continued from a checkpoint.
     """
 
@@ -98,7 +97,6 @@ class CampaignResult:
             "generations": f"{self.generations_done}/{self.total_generations}",
             "evaluations": self.evaluations,
             "pareto": len(self.pareto_set),
-            "store_hits": self.engine_stats.get("store_hits", 0),
             "runtime_s": round(self.runtime_seconds, 2),
         }
 
@@ -117,8 +115,8 @@ class _CampaignManagerCore:
             the resume cost at a single generation; larger values trade
             re-computation on resume for fewer commits).
         engine: an externally owned engine every drive runs through (the
-            session layer shares its engine this way); it is flushed,
-            never closed, here.  When omitted each ``run``/``resume``
+            session layer shares its engine this way); it is never
+            closed here.  When omitted each ``run``/``resume``
             builds a store-backed engine from the campaign's recorded
             backend/workers and closes it afterwards.  The backend choice
             never changes results — evaluation is pure and NSGA-II fronts
@@ -295,7 +293,6 @@ class _CampaignManagerCore:
                 )
             else:
                 status = "interrupted"
-            engine.flush_store()
             runtime = time.perf_counter() - start
             self.store.update_campaign(
                 name,
@@ -324,8 +321,6 @@ class _CampaignManagerCore:
         finally:
             if owns_engine:
                 engine.close()
-            else:
-                engine.flush_store()
 
     # -- inspection ------------------------------------------------------------
 
@@ -418,7 +413,6 @@ def _run_metrics_row(
         ),
         "evaluations": evaluations,
         "cache_hits": cache_hits,
-        "store_hits": int(stats_delta.get("store_hits", 0)),
         "cache_hit_rate": (
             round(cache_hits / lookups, 4) if lookups else 0.0
         ),

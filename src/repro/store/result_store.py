@@ -1,13 +1,14 @@
 """SQLite-backed persistent store of evaluated ACIM design points.
 
-:class:`ResultStore` turns the engine's in-memory memoization into a
-durable, shared artifact: every evaluated ``(spec, model-params, tech)``
-triple is content-addressed by a SHA-256 digest of its canonical engine
-cache key and written to a single SQLite file.  Any later process —
-another exploration campaign, a flow run, a query from the CLI — can
-hydrate its evaluation cache from the store and serve past campaigns'
-work as cache hits instead of re-computing it (the design-library
-pattern: amortize once, serve many).
+:class:`ResultStore` is the durable, queryable record of evaluated
+designs: every ``(spec, model-params, tech)`` triple a store-backed
+engine computes is content-addressed by a SHA-256 digest of its
+canonical engine cache key and written through to a single SQLite file
+before the engine caches it.  Later processes — another campaign, a flow
+run, ``query designs`` from the CLI — read the rows through
+:meth:`ResultStore.query_page`; engines never read them back, because
+the closed-form model recomputes a design faster than the store returns
+it.
 
 The same file also holds campaign state: named campaigns with their
 configuration, per-generation NSGA-II checkpoints (population + RNG
@@ -176,19 +177,11 @@ def _to_jsonable(value):
     return value
 
 
-def _from_jsonable(value):
-    """Inverse of :func:`_to_jsonable`: lists become tuples recursively."""
-    if isinstance(value, list):
-        return tuple(_from_jsonable(item) for item in value)
-    return value
-
-
 def canonical_key(key: Tuple) -> str:
     """Canonical JSON text of an engine cache key (or any nested tuple).
 
     Python's shortest-repr float serialization round-trips exactly, so two
-    equal keys always canonicalize to the same text and a canonical text
-    deserializes back to the original key via :func:`_from_jsonable`.
+    equal keys always canonicalize to the same text.
     """
     return json.dumps(_to_jsonable(key), separators=(",", ":"))
 
@@ -407,41 +400,59 @@ class ResultStore:
         The whole batch commits atomically; already-present content
         addresses are skipped (evaluations are immutable).  Returns the
         number of evaluations actually added.
+
+        Each distinct parameter bundle is canonicalized and hashed once
+        per call; a row's key digest splices the bundle's canonical text
+        into the key's JSON list, which is byte-identical to
+        :func:`key_digest` of the whole key.
         """
         if not entries:
             return 0
         started = time.perf_counter()
         now = time.time()
-        added = 0
-        with get_tracer().span("store.flush", rows=len(entries)):
+        bundles: Dict[Tuple, Tuple[str, str]] = {}
+        rows = []
+        for key, metrics in entries:
+            spec_tuple, params_key, technology = key
+            bundle = bundles.get(params_key)
+            if bundle is None:
+                params_json = canonical_key(params_key)
+                bundle = bundles[params_key] = (
+                    hashlib.sha256(params_json.encode("utf-8")).hexdigest(),
+                    params_json,
+                )
+            params_digest, params_json = bundle
+            key_json = (
+                f"[{canonical_key(spec_tuple)},{params_json},"
+                f"{canonical_key(technology)}]"
+            )
+            rows.append((
+                hashlib.sha256(key_json.encode("utf-8")).hexdigest(),
+                *spec_tuple,
+                params_digest,
+                technology,
+                *(getattr(metrics, field) for field in _METRIC_FIELDS),
+                now,
+            ))
+        with get_tracer().span("store.write", rows=len(entries)):
             with self._write() as conn:
-                for key, metrics in entries:
-                    spec_tuple, params_key, technology = key
-                    params_digest = params_digest_of(params_key)
-                    conn.execute(
-                        "INSERT OR IGNORE INTO param_bundles "
-                        "(params_digest, params_json) VALUES (?, ?)",
-                        (params_digest, canonical_key(params_key)),
-                    )
-                    before = conn.total_changes
-                    conn.execute(
-                        "INSERT OR IGNORE INTO evaluations ("
-                        "  key_digest, height, width, local, adc_bits,"
-                        "  params_digest, technology,"
-                        "  snr_db, snr_total_db, tops, macs_per_second,"
-                        "  energy_per_mac, tops_per_watt, area_f2_per_bit,"
-                        "  total_area_um2, created_at"
-                        ") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            key_digest(key),
-                            *spec_tuple,
-                            params_digest,
-                            technology,
-                            *(getattr(metrics, field) for field in _METRIC_FIELDS),
-                            now,
-                        ),
-                    )
-                    added += conn.total_changes - before
+                conn.executemany(
+                    "INSERT OR IGNORE INTO param_bundles "
+                    "(params_digest, params_json) VALUES (?, ?)",
+                    list(bundles.values()),
+                )
+                before = conn.total_changes
+                conn.executemany(
+                    "INSERT OR IGNORE INTO evaluations ("
+                    "  key_digest, height, width, local, adc_bits,"
+                    "  params_digest, technology,"
+                    "  snr_db, snr_total_db, tops, macs_per_second,"
+                    "  energy_per_mac, tops_per_watt, area_f2_per_bit,"
+                    "  total_area_um2, created_at"
+                    ") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    rows,
+                )
+                added = conn.total_changes - before
         if self.metrics is not None:
             self.metrics.counter("store.put.rows").add(added)
             self.metrics.histogram("store.put.seconds").observe(
@@ -465,40 +476,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return self.evaluation_count()
-
-    def hydrate(self, cache, limit: Optional[int] = None) -> List[Tuple]:
-        """Load stored evaluations into an evaluation cache (warm start).
-
-        The most recently stored evaluations are loaded first, bounded by
-        ``limit`` (default: the cache's capacity) so hydration never
-        thrashes a small LRU.  Returns the hydrated cache keys; the engine
-        keeps them to attribute later cache hits to the persistent store.
-        """
-        if limit is None:
-            limit = getattr(cache, "max_size", None)
-        query = (
-            "SELECT e.*, p.params_json FROM evaluations e "
-            "JOIN param_bundles p ON p.params_digest = e.params_digest "
-            "ORDER BY e.created_at DESC, e.key_digest"
-        )
-        arguments: Tuple = ()
-        if limit is not None:
-            query += " LIMIT ?"
-            arguments = (int(limit),)
-        keys: List[Tuple] = []
-        rows = self._read().execute(query, arguments).fetchall()
-        # The LIMIT selects the newest rows, but they are inserted oldest
-        # first so the newest end up most-recently-used in the LRU.
-        for row in reversed(rows):
-            params_key = _from_jsonable(json.loads(row["params_json"]))
-            key = (
-                (row["height"], row["width"], row["local"], row["adc_bits"]),
-                params_key,
-                row["technology"],
-            )
-            cache.put(key, _metrics_from_row(row))
-            keys.append(key)
-        return keys
 
     # -- physical-pipeline artifacts -------------------------------------------
 

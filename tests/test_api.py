@@ -233,7 +233,7 @@ class TestApiResult:
 class TestSessionConfig:
     def test_round_trip(self):
         config = SessionConfig(backend="process", workers=2,
-                               store="s.sqlite", cache_size=128)
+                               store="s.sqlite")
         assert SessionConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))) == config
 
@@ -248,6 +248,9 @@ class TestSessionConfig:
     def test_unknown_field_raises_request_error(self):
         with pytest.raises(RequestError):
             SessionConfig.from_dict({"backend": "serial", "wokers": 2})
+        # cache_size was removed in 1.6.0: it is a typo now.
+        with pytest.raises(RequestError, match="cache_size"):
+            SessionConfig.from_dict({"cache_size": 128})
 
 
 # ---------------------------------------------------------------------------

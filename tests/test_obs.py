@@ -17,7 +17,7 @@ from repro.api import ApiResult, EstimateRequest, QueryRequest, Session, Session
 from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.cli import main
-from repro.engine import EvaluationCache, EvaluationEngine
+from repro.engine import EvaluationCache, EvaluationEngine, reset_shared_cache
 from repro.flow.report import engine_stats_table, format_table
 from repro.model.estimator import ACIMEstimator
 from repro.obs import (
@@ -321,8 +321,6 @@ class TestEngineStatsByteIdentity:
             "tasks": 0,
             "evaluations": 0,
             "cache_hits": 0,
-            "store_hits": 0,
-            "store_writes": 0,
             "busy_seconds": 0.0,
             "worker_seconds": 0.0,
             "evaluations_per_second": 0.0,
@@ -433,15 +431,12 @@ class TestEngineTracing:
 
 
 class TestEngineClose:
-    def test_close_flushes_write_behind_and_is_idempotent(self, tmp_path):
+    def test_close_is_idempotent_after_write_through(self, tmp_path):
         store = ResultStore(tmp_path / "store.sqlite")
-        # Large flush size: nothing reaches the store until close().
-        engine = EvaluationEngine(
-            "serial", cache=EvaluationCache(max_size=1000),
-            store=store, store_flush_size=10_000,
-        )
+        engine = EvaluationEngine("serial", store=store)
         engine.evaluate_specs(ACIMEstimator(), [ACIMDesignSpec(128, 128, 4, 3)])
-        assert store.stats()["evaluations"] == 0
+        # Written through by the evaluation itself; close() adds nothing.
+        assert store.stats()["evaluations"] == 1
         engine.close()
         assert store.stats()["evaluations"] == 1
         engine.close()  # second close must be a clean no-op
@@ -598,7 +593,8 @@ class TestRunMetricsStore:
 
 class TestApiSurfacing:
     def test_submit_attaches_metrics_delta(self):
-        with Session.from_config(SessionConfig(cache_size=1000)) as session:
+        reset_shared_cache()
+        with Session.from_config(SessionConfig()) as session:
             result = session.submit(EstimateRequest(
                 height=128, width=128, local_array_size=4, adc_bits=3,
             ))
@@ -608,7 +604,7 @@ class TestApiSurfacing:
 
     def test_submit_attaches_trace_id_when_tracing(self):
         tracer = configure_tracing(enabled=True)
-        with Session.from_config(SessionConfig(cache_size=1000)) as session:
+        with Session.from_config(SessionConfig()) as session:
             result = session.submit(EstimateRequest(
                 height=128, width=128, local_array_size=4, adc_bits=3,
             ))

@@ -1,4 +1,5 @@
-"""Tests of the persistent result store (round-trip, concurrency, query)."""
+"""Tests of the persistent result store (round-trip, write-through,
+concurrency, query)."""
 
 import json
 import os
@@ -9,6 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import (
+    EstimateRequest,
+    ExploreRequest,
+    QueryRequest,
+    Session,
+    SessionConfig,
+)
 from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.distill import DistillationCriteria
@@ -16,9 +24,11 @@ from repro.engine import (
     EvaluationCache,
     EvaluationEngine,
     parameters_cache_key,
+    reset_shared_cache,
+    shared_cache,
     spec_cache_key,
 )
-from repro.errors import StoreError
+from repro.errors import EngineError, StoreError
 from repro.model.estimator import ACIMEstimator, ModelParameters
 from repro.reporting.export import export_json, load_json
 from repro.store import (
@@ -56,6 +66,9 @@ SPECS = [
 class TestResultStoreRoundTrip:
     def test_put_get_round_trip(self, store, estimator):
         entries = _entries(estimator, SPECS)
+        # A technology-tagged key is its own content address; get() looks
+        # rows up by key_digest(), so the batched write must match it.
+        entries += [((key[0], key[1], "generic28"), m) for key, m in entries]
         assert store.put_many(entries) == len(entries)
         for key, metrics in entries:
             assert store.get(key) == metrics  # bit-exact (REAL is float64)
@@ -76,6 +89,17 @@ class TestResultStoreRoundTrip:
         for params in (ModelParameters(), ModelParameters.calibrated()):
             store.put_many(_entries(ACIMEstimator(params), [spec]))
         assert len(store) == 2
+        # One batch mixing both bundles: each (spec, bundle) is its own
+        # row, and the rows already present are not counted again.
+        mixed = [
+            entry
+            for params in (ModelParameters(), ModelParameters.calibrated())
+            for entry in _entries(ACIMEstimator(params), SPECS[:2])
+        ]
+        assert store.put_many(mixed) == 2
+        assert len(store) == 4
+        for key, metrics in mixed:
+            assert store.get(key) == metrics
 
     def test_canonical_key_digest_is_stable(self, estimator):
         params_key = parameters_cache_key(estimator.parameters)
@@ -113,65 +137,90 @@ class TestResultStoreRoundTrip:
             ResultStore(path)
 
 
-class TestHydration:
-    def test_hydrate_fills_cache(self, store, estimator):
-        entries = _entries(estimator, SPECS)
-        store.put_many(entries)
-        cache = EvaluationCache(max_size=16)
-        keys = store.hydrate(cache)
-        assert len(keys) == len(entries)
-        for key, metrics in entries:
-            assert cache.get(key) == metrics
+class _RecordingEstimator(ACIMEstimator):
+    """The stock model, remembering every spec it actually computes."""
 
-    def test_hydrate_respects_cache_capacity(self, store, estimator):
-        store.put_many(_entries(estimator, SPECS))
-        cache = EvaluationCache(max_size=2)
-        assert len(store.hydrate(cache)) == 2
-        assert len(cache) == 2
+    def __init__(self):
+        super().__init__()
+        self.computed = set()
 
-    def test_hydrate_keeps_newest_entries_most_recently_used(
-        self, store, estimator
+    def evaluate_batch(self, specs):
+        self.computed.update(specs.as_tuples())
+        return super().evaluate_batch(specs)
+
+
+class TestWriteThrough:
+    def test_engine_writes_through_and_never_reads_back(
+        self, tmp_path, estimator
     ):
-        entries = _entries(estimator, SPECS)
-        for entry in entries:  # staggered writes: distinct created_at
-            store.put_many([entry])
-        cache = EvaluationCache(max_size=2)
-        store.hydrate(cache)
-        # Under pressure the oldest hydrated entry is evicted first; the
-        # newest stored evaluation survives as most-recently-used.
-        cache.put("fresh", object())
-        assert cache.get(entries[-1][0]) is not None
-
-    def test_engine_warm_starts_and_writes_behind(self, tmp_path, estimator):
         path = tmp_path / "store.sqlite"
         with ResultStore(path) as store:
-            with EvaluationEngine(
-                cache=EvaluationCache(), store=store
-            ) as engine:
+            engine = EvaluationEngine(store=store)
+            engine.evaluate_specs(estimator, SPECS)
+            assert engine.stats.evaluations == len(SPECS)
+            # Written by the call itself, not by close().
+            assert len(store) == len(SPECS)
+            engine.close()
+            engine.close()  # idempotent
+            assert len(store) == len(SPECS)
+        # A fresh engine on the reopened store (a new process's view)
+        # recomputes instead of loading, and stores nothing twice.
+        with ResultStore(path) as store:
+            with EvaluationEngine(store=store) as engine:
                 engine.evaluate_specs(estimator, SPECS)
                 assert engine.stats.evaluations == len(SPECS)
-                assert engine.stats.store_hits == 0
-            # close() flushed the write-behind buffer
+                assert engine.stats.cache_hits == 0
             assert len(store) == len(SPECS)
-        # A fresh engine (fresh cache, reopened store = a new process's
-        # view) serves the same specs from the persistent store.
-        with ResultStore(path) as store:
-            with EvaluationEngine(
-                cache=EvaluationCache(), store=store
-            ) as engine:
-                engine.evaluate_specs(estimator, SPECS)
-                assert engine.stats.evaluations == 0
-                assert engine.stats.cache_hits == len(SPECS)
-                assert engine.stats.store_hits == len(SPECS)
 
-    def test_write_behind_flushes_in_batches(self, store, estimator):
-        with EvaluationEngine(
-            cache=EvaluationCache(), store=store, store_flush_size=2
-        ) as engine:
-            engine.evaluate_specs(estimator, SPECS)
-            # 3 misses with a batch size of 2: one mid-run flush committed.
-            assert len(store) >= 2
-            assert engine.stats.store_writes >= 2
+    def test_store_backed_engine_owns_a_private_cache(self, store):
+        engine = EvaluationEngine(store=store)
+        assert engine.cache is not shared_cache()
+        assert len(engine.cache) == 0
+        with pytest.raises(EngineError, match="private cache"):
+            EvaluationEngine(cache=EvaluationCache(), store=store)
+
+    def test_failed_write_fails_its_own_request(self, tmp_path, estimator):
+        path = tmp_path / "store.sqlite"
+        request = EstimateRequest(
+            height=128, width=128, local_array_size=4, adc_bits=3
+        )
+        key = spec_cache_key(request.spec(), estimator.parameters)
+        with ResultStore(path, timeout=0.1) as store:
+            with Session(store=store) as session:
+                holder = sqlite3.connect(path, isolation_level=None)
+                holder.execute("BEGIN EXCLUSIVE")
+                try:
+                    with pytest.raises(StoreError):
+                        session.estimate(request)
+                    assert len(session.engine.cache) == 0
+                finally:
+                    holder.execute("ROLLBACK")
+                    holder.close()
+                result = session.estimate(request)
+                assert result.status == "ok"
+                assert store.get(key) == result.artifacts["metrics"][0]
+                assert len(store) == 1
+
+    def test_query_reads_writes_served_by_the_shared_cache(self, tmp_path):
+        # A store-less session warms the process-wide cache first; the
+        # store-backed session must still persist every design it
+        # evaluates, or query designs would miss them.
+        request = ExploreRequest(
+            array_size=1024, population=16, generations=4, seed=5
+        )
+        reset_shared_cache()
+        recorder = _RecordingEstimator()
+        with Session(estimator=recorder) as warm:
+            warm.explore(request)
+        assert recorder.computed
+        config = SessionConfig(store=str(tmp_path / "store.sqlite"))
+        with Session.from_config(config) as session:
+            session.explore(request)
+            listed = session.query(QueryRequest(pareto_only=False))
+        assert listed.payload["total"] == len(recorder.computed)
+        assert {
+            entry.spec.as_tuple() for entry in listed.artifacts["entries"]
+        } == recorder.computed
 
 
 class TestConcurrentWriters:
@@ -268,7 +317,6 @@ class TestQuery:
         with ResultStore(tmp_path / "s.sqlite") as store:
             engine = EvaluationEngine("serial", store=store)
             engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(4096))
-            engine.flush_store()
             for rank_by in ("tops_per_watt", "snr_db", "area_f2_per_bit"):
                 fast, fast_total = store.query_page(
                     rank_by=rank_by, pareto_only=False
