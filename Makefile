@@ -1,17 +1,18 @@
 # CI entry points for the EasyACIM reproduction.
 #
 #   make test              tier-1 test suite (the PR gate)
-#   make smoke             quickstart flow through the parallel engine (2 workers)
+#   make smoke             quickstart flow (exploration, distillation, netlists,
+#                          routed layouts, GDS/DEF export) in one process
 #   make api-smoke         every repro.api request kind from JSON through one
 #                          Session, with DeprecationWarning promoted to error
 #                          (proves the new path avoids the legacy front doors)
 #   make campaign-smoke    tiny campaign -> kill -> resume -> overlapping
 #                          campaign (each design stored once) -> query
-#   make physical-smoke    two-design flow with macro reuse on: >= 1 macro
-#                          cache hit and byte-identical GDSII vs reuse-off
+#   make physical-smoke    two-design flow: >= 1 macro cache hit and
+#                          byte-identical GDSII vs a fresh pipeline per design
 #   make template-smoke    three neighbouring designs: columns derived from
 #                          a solved template (memory + store rungs) with
-#                          byte-identical GDSII vs reuse-off
+#                          byte-identical GDSII vs a fresh pipeline per design
 #   make trace-smoke       quickstart-sized flow under `repro trace`: the
 #                          exported Chrome trace must parse and nest api +
 #                          engine + chunk + physical-pipeline spans
@@ -34,8 +35,6 @@
 #                          BENCH_template.json
 #   make model-bench-smoke CI-sized vectorized-model benchmark (5x gate, no write)
 #   make model-bench       full vectorized-model benchmark, records BENCH_model.json
-#   make bench-quick       CI-sized engine scaling benchmark (no baseline write)
-#   make bench             full engine scaling benchmark, records BENCH_engine.json
 #   make ci                what every PR must pass: tier-1 + the smokes + gates
 #
 # PYTHONPATH is set here so no editable install is needed on CI runners.
@@ -43,13 +42,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke bench bench-quick ci
+.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 smoke:
-	$(PYTHON) examples/quickstart.py --workers 2
+	$(PYTHON) examples/quickstart.py
 
 api-smoke:
 	$(PYTHON) -W error::DeprecationWarning examples/api_smoke.py
@@ -75,7 +74,7 @@ serve-bench-smoke:
 serve-bench:
 	$(PYTHON) benchmarks/bench_serve.py
 
-# alias kept for discoverability (`bench-serve` mirrors `bench-quick`/`bench`)
+# alias kept for discoverability
 bench-serve: serve-bench
 
 physical-bench-smoke:
@@ -95,11 +94,5 @@ model-bench-smoke:
 
 model-bench:
 	$(PYTHON) benchmarks/bench_model_vectorized.py
-
-bench-quick:
-	$(PYTHON) benchmarks/bench_engine_scaling.py --quick --workers 2
-
-bench:
-	$(PYTHON) benchmarks/bench_engine_scaling.py
 
 ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke

@@ -80,7 +80,7 @@ def test_ablation_nsga2_uses_fewer_unique_evaluations(estimator):
 
     # A private engine+cache so the count reflects this run's unique specs,
     # not whatever the process-wide shared cache already holds.
-    engine = EvaluationEngine("serial", cache=EvaluationCache())
+    engine = EvaluationEngine(cache=EvaluationCache())
     problem = ACIMDesignProblem(ARRAY_SIZE, estimator=estimator, engine=engine)
     optimizer = NSGA2(problem, config)
     optimizer.run()

@@ -19,7 +19,7 @@ closed-loop multi-tenant client fleet:
    they compute.
 
 Gates (relaxed, recorded-only, on single-core hosts like the smoke CI
-runner — same convention as the engine-scaling gate): sustained mixed
+runner — same convention as the physical-pipeline gates): sustained mixed
 throughput >= 25 requests/second and client-observed p99 latency
 <= 1.0 s.
 
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     print(f"    latency         : p50 {p50 * 1e3:.1f} ms, "
           f"p99 {p99 * 1e3:.1f} ms")
 
-    # Single-core hosts record but do not enforce (engine-gate convention).
+    # Single-core hosts record but do not enforce.
     gate_applies = cores >= 2 and not args.no_assert
     record["throughput_gate"] = {
         "threshold_rps": THROUGHPUT_GATE,

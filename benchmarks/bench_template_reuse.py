@@ -6,10 +6,9 @@ geometry, every feasible ``(H, B_ADC)`` — the shape an NSGA-II campaign
 or an ADC-resolution study produces, and measures the column solves two
 ways:
 
-1. **flat** — every design placed and routed from scratch through a
-   reuse-off :class:`PhysicalPipeline` (the exact-match-only baseline:
-   each ``(H, B)`` has a unique content address, so PR 5's macro cache
-   never hits);
+1. **flat** — every design placed and routed from scratch on its own
+   fresh :class:`PhysicalPipeline` (nothing cached and no template to
+   derive from; each pipeline is built outside the timed window);
 2. **template** — a reuse pipeline with a persistent store: the first
    design of the family solves cold, every later one derives from the
    nearest solved template by incremental patch (replayed route plans +
@@ -23,8 +22,8 @@ pass with fresh pipelines and a fresh store, so a pass slowed by other
 load on a shared host does not decide the gate.  A final cold-process
 segment re-opens the store and derives a fresh design through the
 ``template_index`` nearest-neighbour rung.
-Like the engine-scaling gate, enforcement is relaxed on single-core
-hosts (the numbers are still recorded).
+Enforcement is relaxed on single-core hosts (the numbers are still
+recorded).
 
 Run with::
 
@@ -95,14 +94,15 @@ def solve(pipeline: PhysicalPipeline, spec: ACIMDesignSpec) -> dict:
 def solve_sweep(library, specs, store: ResultStore):
     """One pass: every design flat, then through a template pipeline.
 
-    Both pipelines are new and ``store`` is expected empty, so every pass
-    starts cold.  Returns the two pipelines and their per-design runs.
+    Every pipeline is new and ``store`` is expected empty, so every pass
+    starts cold.  Returns the template pipeline and the per-design runs.
     """
-    flat = PhysicalPipeline(library, reuse=False)
+    # ``solve`` times only the run, so each fresh pipeline is built
+    # outside the timed window, and dropped after its one design.
+    flat_runs = [solve(PhysicalPipeline(library), spec) for spec in specs]
     template = PhysicalPipeline(library, store=store)
-    flat_runs = [solve(flat, spec) for spec in specs]
     template_runs = [solve(template, spec) for spec in specs]
-    return flat, template, flat_runs, template_runs
+    return template, flat_runs, template_runs
 
 
 def pass_seconds(flat_runs, template_runs) -> dict:
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
         passes = []
         for index in range(PASSES):
             store = ResultStore(tmp_path / f"artifacts-{index}.sqlite")
-            flat, template, flat_runs, template_runs = solve_sweep(
+            template, flat_runs, template_runs = solve_sweep(
                 library, specs, store
             )
             passes.append(pass_seconds(flat_runs, template_runs))
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         # Cold process on the same store: the template_index rung.
         cold = PhysicalPipeline(library, store=store)
         cold_run = solve(cold, COLD_PROCESS_SPEC)
-        cold_reference = solve(flat, COLD_PROCESS_SPEC)
+        cold_reference = solve(PhysicalPipeline(library), COLD_PROCESS_SPEC)
         cold_identical = gds_of(
             cold_run["layout"], technology, tmp_path, "cold") == gds_of(
             cold_reference["layout"], technology, tmp_path, "coldref")
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
           f"{speedup:.2f}x)")
     print(f"    end to end      : {total_speedup:.2f}x over {n} designs")
 
-    # Like the engine gate, single-core hosts record but do not enforce.
+    # Single-core hosts record but do not enforce.
     gate_applies = cores >= 2 and not args.no_assert
     record["speedup_gate"] = {
         "threshold": 5.0,

@@ -55,7 +55,6 @@ ACCEPTED_STATUSES = {"campaign": {"ok", "interrupted"}}
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="easyacim-api-smoke-") as tmp:
         config_document = json.loads(json.dumps({
-            "backend": "serial",
             "store": str(Path(tmp) / "store.sqlite"),
         }))
         with Session.from_config(config_document) as session:

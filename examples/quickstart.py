@@ -15,16 +15,10 @@ Everything runs through the typed session API (``docs/api.md``): one
 one :class:`repro.api.FlowRequest` describing the run.  Run with::
 
     python examples/quickstart.py
-    python examples/quickstart.py --backend process --workers 2
-
-The ``--backend``/``--workers`` pair routes the exploration batches and the
-netlist/layout fan-out through the parallel evaluation engine (the CI smoke
-job runs ``--workers 2`` so the parallel path is exercised on every PR).
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import tempfile
 
@@ -38,17 +32,7 @@ from repro.flow.report import (
 from repro.reporting.physical import physical_stats_table
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--backend", choices=("serial", "process"),
-                        default=None,
-                        help="evaluation-engine backend (default: serial, "
-                             "or process when --workers is given)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="engine pool size (implies --backend process)")
-    args = parser.parse_args(argv)
-    backend = args.backend or ("process" if args.workers else "serial")
-
+def main() -> None:
     request = FlowRequest(
         array_size=1024,
         population=40,
@@ -60,7 +44,7 @@ def main(argv=None) -> None:
     )
 
     with tempfile.TemporaryDirectory() as output_dir, Session.from_config(
-        SessionConfig(backend=backend, workers=args.workers)
+        SessionConfig()
     ) as session:
         outcome = session.flow(
             dataclasses.replace(request, output_dir=output_dir)
@@ -98,17 +82,9 @@ def main(argv=None) -> None:
         # macro cache instead of re-placing and re-routing them.
         again = session.flow(request)
         stats = again.payload["physical_stats"]
-        if stats:
-            print(f"\nSame flow again on this session: "
-                  f"{stats['macros_built']} macros built, "
-                  f"{stats['macros_reused']} reused from the macro cache "
-                  f"(use --no-reuse / FlowRequest(reuse='off') to disable).")
-        else:
-            # Parallel engines take the flat per-solution fan-out instead
-            # of the shared in-process macro cache (docs/physical.md).
-            print("\nSame flow again on this session: layouts regenerated "
-                  "through the parallel engine fan-out (macro reuse "
-                  "applies on serial engines; see docs/physical.md).")
+        print(f"\nSame flow again on this session: "
+              f"{stats['macros_built']} macros built, "
+              f"{stats['macros_reused']} reused from the macro cache.")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ def run() -> int:
             "trace", "--trace-out", str(trace_path), "--",
             "flow", "--array-size", "256", "--population", "16",
             "--generations", "4", "--seed", "1", "--max-layouts", "1",
-            "--workers", "2", "--out", str(Path(tmp) / "out"),
+            "--out", str(Path(tmp) / "out"),
         ])
         if exit_code != 0:
             print(f"FAIL: traced flow exited with {exit_code}")

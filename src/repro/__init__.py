@@ -14,7 +14,7 @@ Quick start — every workflow goes through one typed session
 
     from repro import ExploreRequest, FlowRequest, Session, SessionConfig
 
-    with Session.from_config(SessionConfig(backend="process")) as session:
+    with Session.from_config(SessionConfig(store="results.sqlite")) as session:
         explored = session.explore(ExploreRequest(array_size=16 * 1024))
         print(explored.payload["pareto_size"], "Pareto solutions")
 
@@ -34,7 +34,7 @@ The subpackages are usable on their own:
 * :mod:`repro.arch` — the synthesizable architecture and its constraints,
 * :mod:`repro.model` — the performance estimation model (Equations 2-11),
 * :mod:`repro.dse` — Pareto tools and the NSGA-II explorer (Equation 12),
-* :mod:`repro.engine` — the batched/parallel/cached evaluation engine every
+* :mod:`repro.engine` — the batched, cached evaluation engine every
   evaluation consumer routes through (``docs/engine.md``),
 * :mod:`repro.store` — the persistent result store and resumable
   exploration campaigns (``docs/campaigns.md``),
@@ -83,7 +83,7 @@ from repro.sim.montecarlo import MonteCarloSnr
 from repro.store import CampaignResult, ResultStore
 from repro.technology.tech import Technology, generic28
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     # The typed public API (the supported entry point).

@@ -23,7 +23,6 @@ from typing import ClassVar, Dict, Optional, Tuple, Type
 
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.nsga2 import NSGA2Config
-from repro.flow.controller import REUSE_MODES
 from repro.errors import (
     FlowError,
     OptimizationError,
@@ -187,7 +186,6 @@ def _validate_nsga2(request) -> None:
     never accept a configuration the optimiser would reject.
     """
     _require_int("array_size", request.array_size, 16)
-    _require_optional_int("workers", getattr(request, "workers", None), 1)
     NSGA2Config(
         population_size=request.population,
         generations=request.generations,
@@ -368,10 +366,10 @@ class FlowRequest(ApiRequest):
         output_dir: where to export GDS/DEF when layouts are generated.
         campaign_name: record the run under this name in the session's
             store (None: ``flow-<array_size>`` when a store is attached).
-        reuse: ``"auto"`` serves repeated physical work from the
-            session's macro/artifact cache (``docs/physical.md``);
-            ``"off"`` solves every design flat from scratch (the
-            regression baseline).
+
+    Netlists and layouts always run through the session's physical
+    pipeline, whose macro/artifact cache serves repeated physical work
+    (``docs/physical.md``).
     """
 
     kind: ClassVar[str] = "flow"
@@ -390,22 +388,12 @@ class FlowRequest(ApiRequest):
     route_columns: bool = False
     output_dir: Optional[str] = None
     campaign_name: Optional[str] = None
-    reuse: str = "auto"
-
-    #: Shared with the flow controller, so request-level and core-level
-    #: validation can never drift apart.
-    REUSE_MODES: ClassVar[Tuple[str, ...]] = REUSE_MODES
 
     def validate(self) -> "FlowRequest":
         if not isinstance(self.array_size, int) or self.array_size < 16:
             raise FlowError("array size must be at least 16 bit cells")
         _validate_nsga2(self)
         _require_int("max_layouts", self.max_layouts, 0)
-        if self.reuse not in self.REUSE_MODES:
-            raise FlowError(
-                f"unknown reuse mode {self.reuse!r}; "
-                f"expected one of {sorted(self.REUSE_MODES)}"
-            )
         return self
 
 

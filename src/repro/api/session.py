@@ -1,21 +1,22 @@
 """The :class:`Session`: one typed entry point for every workflow.
 
 A session owns the shared execution substrate — one
-:class:`~repro.engine.engine.EvaluationEngine` (backend, worker pool,
+:class:`~repro.engine.engine.EvaluationEngine` (inline evaluation over a
 memoization cache: the process-wide one, or a private one when the
-session has a store), an optional persistent
+session has a store), one reuse-aware
+:class:`~repro.physical.pipeline.PhysicalPipeline`, an optional persistent
 :class:`~repro.store.result_store.ResultStore`, the
 :class:`~repro.model.estimator.ModelParameters` bundle and the technology
 — and executes typed requests against it:
 
     from repro.api import ExploreRequest, Session, SessionConfig
 
-    with Session.from_config(SessionConfig(backend="process")) as session:
+    with Session.from_config(SessionConfig(store="results.sqlite")) as session:
         result = session.explore(ExploreRequest(array_size=16 * 1024))
         print(result.payload["pareto_size"], result.engine_stats)
 
 Every consumer (the CLI, the tests, a future HTTP service or job queue)
-goes through this layer, so backend/worker/store/model conventions live in
+goes through this layer, so store/model/technology conventions live in
 exactly one place.  :class:`SessionConfig` is JSON-serializable like the
 requests, so a whole job description — session settings plus request — can
 cross a wire.
@@ -59,8 +60,8 @@ from repro.dse.explorer import ExplorationResult, _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.dse.pareto import pareto_front
 from repro.dse.sensitivity import SensitivityAnalyzer
-from repro.engine import EvaluationEngine, validate_backend
-from repro.errors import EngineError, RequestError, StoreError, TechnologyError
+from repro.engine import EvaluationEngine
+from repro.errors import RequestError, StoreError, TechnologyError
 from repro.flow.controller import FlowInputs, _FlowCore
 from repro.model.estimator import ACIMEstimator, ModelParameters
 from repro.obs import MetricsRegistry, get_tracer
@@ -81,8 +82,6 @@ class SessionConfig:
     """Serializable execution settings shared by every request a session runs.
 
     Attributes:
-        backend: evaluation-engine backend (``serial``/``process``).
-        workers: engine pool size (None: the machine's CPU count).
         store: path of the persistent SQLite result store (None: no
             persistence; campaigns and queries then require a store to be
             injected programmatically).
@@ -92,19 +91,12 @@ class SessionConfig:
             simplified-SNR constants) instead of the stock bundle.
     """
 
-    backend: str = "serial"
-    workers: Optional[int] = None
     store: Optional[str] = None
     technology: str = "generic28"
     calibrated_model: bool = False
 
     def validate(self) -> "SessionConfig":
         """Raise a structured :mod:`repro.errors` exception when invalid."""
-        validate_backend(self.backend)
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < 1
-        ):
-            raise EngineError(f"workers must be a positive integer, got {self.workers!r}")
         if self.technology not in TECHNOLOGIES:
             raise TechnologyError(
                 f"unknown technology {self.technology!r}; "
@@ -118,7 +110,13 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionConfig":
-        """Build (and validate) a config from a plain dictionary."""
+        """Build (and validate) a config from a plain dictionary.
+
+        Unknown fields raise :class:`~repro.errors.RequestError` naming the
+        first of them — including the settings removed in 1.7.0
+        (``backend``, ``workers``), so an old job description fails loudly
+        instead of being half-applied.
+        """
         if not isinstance(data, dict):
             raise RequestError(
                 f"session config must be a dict, got {type(data).__name__}"
@@ -127,7 +125,8 @@ class SessionConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise RequestError(
-                f"unknown session config field(s) {', '.join(unknown)}"
+                f"unknown session config field(s) {', '.join(unknown)}",
+                field=unknown[0],
             )
         try:
             config = cls(**data)
@@ -144,13 +143,12 @@ class Session:
             session on the shared cache).
         estimator: estimation model override (defaults to the config's
             stock or calibrated bundle).
-        engine: externally owned engine to run on (never closed by this
-            session).
+        engine: externally owned engine to run on.
         store: externally owned result store (takes precedence over
             ``config.store``; never closed by this session).
 
-    Sessions are context managers; :meth:`close` releases whatever the
-    session owns (engine pool, store connection) and is idempotent.
+    Sessions are context managers; :meth:`close` releases the store
+    connection the session owns and is idempotent.
     """
 
     def __init__(
@@ -181,12 +179,8 @@ class Session:
                 ModelParameters.calibrated()
                 if self.config.calibrated_model else None
             )
-            self._owns_engine = engine is None
             self.engine = engine or EvaluationEngine(
-                self.config.backend,
-                workers=self.config.workers,
-                store=self.store,
-                metrics=self.metrics,
+                store=self.store, metrics=self.metrics
             )
         except BaseException:
             # Engine/estimator construction failed: don't leak the SQLite
@@ -224,21 +218,16 @@ class Session:
         """Release everything the session owns; idempotent.
 
         Every computed evaluation and every physical artifact was written
-        through when it was produced, so nothing is drained: an owned
-        engine's worker pool is torn down, then the owned store connection
-        closes — even when engine teardown raises.  A second ``close()``
-        — e.g. a signal handler racing a context-manager exit during
-        server shutdown — is a no-op rather than a double release.
+        through when it was produced, so nothing is drained: the owned
+        store connection closes.  A second ``close()`` — e.g. a signal
+        handler racing a context-manager exit during server shutdown — is
+        a no-op rather than a double release.
         """
         if self._closed:
             return
         self._closed = True
-        try:
-            if self._owns_engine:
-                self.engine.close()
-        finally:
-            if self._owns_store and self.store is not None:
-                self.store.close()
+        if self._owns_store and self.store is not None:
+            self.store.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -313,7 +302,8 @@ class Session:
         Scripted consumers read one flat ``engine_stats`` dictionary; the
         pipeline's stage timings and cache hits join it under
         ``stage_<name>_seconds`` / ``stage_<name>_cache_hits`` keys, next
-        to the macro reuse counters.
+        to the built/reused/derived macro counters (together they account
+        for every macro lookup).
         """
         if not physical_stats:
             return
@@ -322,6 +312,7 @@ class Session:
             result.engine_stats[f"stage_{name}_cache_hits"] = stage["cache_hits"]
         result.engine_stats["macros_built"] = physical_stats.get("macros_built", 0)
         result.engine_stats["macros_reused"] = physical_stats.get("macros_reused", 0)
+        result.engine_stats["macros_derived"] = physical_stats.get("macros_derived", 0)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -415,8 +406,6 @@ class Session:
                     population_size=request.population,
                     generations=request.generations,
                     seed=request.seed,
-                    backend=self.config.backend,
-                    workers=self.config.workers,
                 ),
                 local_array_sizes=request.local_array_sizes,
                 max_adc_bits=request.max_adc_bits,
@@ -500,8 +489,6 @@ class Session:
                     population_size=request.population,
                     generations=request.generations,
                     seed=request.seed,
-                    backend=self.config.backend,
-                    workers=self.config.workers,
                 ),
                 stop_after_generations=request.stop_after,
             )
@@ -535,18 +522,13 @@ class Session:
                 population_size=request.population,
                 generations=request.generations,
                 seed=request.seed,
-                backend=self.config.backend,
-                workers=self.config.workers,
             ),
             model=self.estimator.parameters,
             max_layouts=request.max_layouts,
-            backend=self.config.backend,
-            workers=self.config.workers,
             store=self.store,
             campaign_name=request.campaign_name,
             engine=self.engine,
-            reuse=request.reuse,
-            pipeline=self.pipeline if request.reuse != "off" else None,
+            pipeline=self.pipeline,
         )
         outcome = _FlowCore(inputs).run(
             generate_netlists=request.generate_netlists,
@@ -571,7 +553,6 @@ class Session:
                 }
                 for key, report in outcome.layouts.items()
             },
-            "reuse": request.reuse,
             "physical_stats": outcome.physical_stats,
         }
         result = self._finish(

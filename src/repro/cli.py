@@ -15,8 +15,8 @@ Usage (after ``pip install -e .``)::
 
 Every subcommand is a thin adapter over :mod:`repro.api`: it builds one
 typed, JSON-serializable request, submits it to a
-:class:`~repro.api.Session` configured from the shared ``--backend`` /
-``--workers`` / ``--store`` flags, and renders the
+:class:`~repro.api.Session` configured from the shared ``--store`` flag,
+and renders the
 :class:`~repro.api.ApiResult` envelope — as human-readable tables by
 default, or as the raw envelope with the uniform ``--json`` flag
 (``--json`` alone prints the JSON document to stdout instead of the
@@ -45,7 +45,6 @@ from repro.api import (
     SessionConfig,
     ValidateSnrRequest,
 )
-from repro.engine import BACKENDS
 from repro.errors import ReproError
 from repro.flow.report import (
     design_table,
@@ -82,17 +81,11 @@ DEFAULT_CAMPAIGN_STORE = Path("easyacim_store.sqlite")
 def _session_parent() -> argparse.ArgumentParser:
     """The one parent parser carrying the shared session/output flags.
 
-    Every subcommand inherits these, so backend/worker/store/JSON
-    conventions are defined exactly once instead of per-command copies.
+    Every subcommand inherits these, so store/JSON/trace conventions are
+    defined exactly once instead of per-command copies.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("session options (shared)")
-    group.add_argument("--backend", choices=list(BACKENDS), default=None,
-                       help="evaluation-engine backend (default: serial, "
-                            "or process when --workers is given)")
-    group.add_argument("--workers", type=int, default=None,
-                       help="engine pool size (implies --backend process; "
-                            "default pool size: all CPU cores)")
     group.add_argument("--store", type=Path, default=None,
                        help="persistent SQLite result store the session "
                             "writes evaluations through to and queries "
@@ -172,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="export GDS/DEF of the generated layouts here")
     flow.add_argument("--campaign-name", default=None,
                       help="record the run under this name in --store")
-    flow.add_argument("--reuse", action=argparse.BooleanOptionalAction,
-                      default=True,
-                      help="serve repeated physical work from the "
-                           "macro/artifact cache (--no-reuse solves every "
-                           "design flat from scratch; docs/physical.md)")
     flow.set_defaults(handler=_cmd_flow)
 
     layout = subparsers.add_parser(
@@ -310,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 8433)")
     serve.add_argument("--serve-workers", type=int, default=4,
                        help="job-executor threads, i.e. concurrent jobs "
-                            "server-wide (default 4; --workers still sizes "
-                            "the evaluation engine's process pool)")
+                            "server-wide (default 4)")
     serve.add_argument("--max-per-tenant", type=int, default=2,
                        help="concurrently running jobs allowed per tenant "
                             "(default 2)")
@@ -348,11 +335,8 @@ def _session_from_args(
     args: argparse.Namespace, default_store: Optional[Path] = None
 ) -> Session:
     """One session per invocation, configured from the shared flags."""
-    backend = args.backend or ("process" if args.workers else "serial")
     store = args.store if args.store is not None else default_store
     return Session.from_config(SessionConfig(
-        backend=backend,
-        workers=args.workers,
         store=str(store) if store is not None else None,
     ))
 
@@ -450,7 +434,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         route_columns=args.route,
         output_dir=str(args.out) if args.out is not None else None,
         campaign_name=args.campaign_name,
-        reuse="auto" if args.reuse else "off",
     )
     with _session_from_args(args) as session:
         result = session.submit(request)
@@ -689,7 +672,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ReproServer, ServerConfig
 
-    backend = args.backend or ("process" if args.workers else "serial")
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -698,8 +680,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
         session=SessionConfig(
-            backend=backend,
-            workers=args.workers,
             store=str(args.store) if args.store is not None else None,
         ),
     )
@@ -713,7 +693,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
     print(f"repro serve listening on {server.url} "
-          f"({config.workers} workers, backend {backend}); "
+          f"({config.workers} workers); "
           "SIGTERM/Ctrl-C drains and exits", file=sys.stderr)
     server.wait()
     return 0

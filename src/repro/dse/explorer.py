@@ -22,7 +22,7 @@ from repro.arch.spec import ACIMDesignSpec
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.pareto import pareto_front
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, default_engine
 from repro.model.estimator import ACIMEstimator
 
 
@@ -37,7 +37,7 @@ class ExplorationResult:
         generations: number of NSGA-II generations run.
         runtime_seconds: wall-clock exploration time (monotonic clock).
         history: per-generation statistics from the optimiser.
-        engine_stats: evaluation-engine statistics (backend, batches, cache
+        engine_stats: evaluation-engine statistics (batches, cache
             hits, evaluations/sec) of this run, when an engine was used.
     """
 
@@ -125,7 +125,7 @@ class _ExplorerCore:
         self.config = config
         self.local_array_sizes = local_array_sizes
         self.max_adc_bits = max_adc_bits
-        self.engine = engine
+        self.engine = engine if engine is not None else default_engine()
         self.power_of_two_heights = power_of_two_heights
 
     def explore(
@@ -137,25 +137,8 @@ class _ExplorerCore:
         """Run the exploration for a user-defined array size.
 
         Returns the deduplicated Pareto-frontier set of feasible solutions.
-        When no engine was injected, one is built from the config's
-        ``backend``/``workers`` for this run and shut down afterwards.
         """
-        engine = self.engine or EvaluationEngine(
-            self.config.backend, workers=self.config.workers
-        )
-        try:
-            return self._explore(engine, array_size, min_height, max_height)
-        finally:
-            if engine is not self.engine:
-                engine.close()
-
-    def _explore(
-        self,
-        engine: EvaluationEngine,
-        array_size: int,
-        min_height: int,
-        max_height: Optional[int],
-    ) -> ExplorationResult:
+        engine = self.engine
         problem = ACIMDesignProblem(
             array_size,
             estimator=self.estimator,
@@ -187,8 +170,7 @@ class _ExplorerCore:
     ) -> Dict[int, ExplorationResult]:
         """Explore several array sizes (used by the Figure-9(a)(b) sweep).
 
-        One engine (and thus one worker pool and cache view) is shared
-        across all sizes so the sweep amortizes pool spawn cost.
+        One engine (and thus one cache view) is shared across all sizes.
         """
         min_height = kwargs.pop("min_height", 2)
         max_height = kwargs.pop("max_height", None)
@@ -197,16 +179,9 @@ class _ExplorerCore:
                 f"explore_many() got unexpected keyword arguments "
                 f"{sorted(kwargs)}"
             )
-        engine = self.engine or EvaluationEngine(
-            self.config.backend, workers=self.config.workers
-        )
-        try:
-            return {
-                size: self._explore(engine, size, min_height, max_height)
-                for size in array_sizes
-            }
-        finally:
-            if engine is not self.engine:
-                engine.close()
+        return {
+            size: self.explore(size, min_height, max_height)
+            for size in array_sizes
+        }
 
 

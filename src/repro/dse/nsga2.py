@@ -68,12 +68,6 @@ class NSGA2Config:
             (otherwise it is a copy of one parent before mutation).
         mutation_probability: probability the child genome is mutated.
         seed: random seed for reproducibility.
-        backend: evaluation-engine backend (``serial``/``process``).
-            Population batches are always evaluated inline; the backend
-            only decides whether the engine's ``map`` fans out to a process
-            pool.  Evaluation never consumes the RNG, so every backend
-            produces the identical evolution for a seed.
-        workers: engine pool size (None: the machine's CPU count).
     """
 
     population_size: int = 80
@@ -81,12 +75,8 @@ class NSGA2Config:
     crossover_probability: float = 0.9
     mutation_probability: float = 0.4
     seed: int = 1
-    backend: str = "serial"
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        from repro.engine import validate_backend
-
         if self.population_size < 4:
             raise OptimizationError("population size must be at least 4")
         if self.generations < 1:
@@ -95,9 +85,6 @@ class NSGA2Config:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise OptimizationError(f"{name} must be in [0, 1]")
-        validate_backend(self.backend)
-        if self.workers is not None and self.workers < 1:
-            raise OptimizationError("workers must be at least 1")
 
 
 class NSGA2(Generic[Genome]):

@@ -159,8 +159,7 @@ class ACIMDesignProblem:
         tables, the Equation-12 violations are a handful of vectorized
         comparisons — and the feasible rows are submitted to the evaluation
         engine as one :class:`~repro.arch.batch.SpecBatch`, which serves
-        repeats from the shared cache and fans the misses out across the
-        configured backend.
+        repeats from the shared cache and computes the misses inline.
         """
         results: List[Optional[Tuple[Tuple[float, ...], float]]] = [None] * len(genomes)
         fresh_indices: List[int] = []

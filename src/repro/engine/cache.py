@@ -8,12 +8,11 @@ exhaustive baseline all share each other's work when they use the same
 model constants — the repeated-flow re-evaluation the per-problem dicts of
 older revisions could never avoid.
 
-Process-safety model: worker processes never touch the cache.  With the
-``process`` backend the parent looks up hits, ships only the misses to the
-pool and inserts the returned metrics itself, so the cache needs a lock
-only against concurrent *threads* (the ``thread`` backend and any user
-threads).  The lock is excluded from pickling so a cache-bearing object can
-still cross a process boundary if a consumer ships one.
+Thread-safety model: evaluation runs in the calling process, so the
+cache needs a lock only against concurrent *threads* (a server's job
+workers and any user threads).  The lock is excluded from pickling so a
+cache-bearing object can still cross a process boundary if a consumer
+ships one.
 """
 
 from __future__ import annotations

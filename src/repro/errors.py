@@ -148,22 +148,9 @@ class FlowError(ReproError):
 
 
 class EngineError(ReproError):
-    """The evaluation engine was misconfigured (unknown backend, ...)."""
+    """The evaluation engine was misconfigured (a cache and a store, ...)."""
 
     code = "engine"
-
-
-class WorkerCrashError(EngineError):
-    """A process-pool worker died mid-call.
-
-    Raised by :meth:`repro.engine.EvaluationEngine.map` instead of the
-    executor's sticky ``BrokenProcessPool`` when a worker process exits
-    abnormally (segfault, OOM kill, ``os._exit``).  The engine drops the
-    broken pool and rebuilds it on the next call, so the crash fails one
-    call, not the engine.
-    """
-
-    code = "worker-crash"
 
 
 class StoreError(ReproError):
@@ -238,7 +225,7 @@ class RateLimitError(ServeError):
 #: serving layer (and any other transport) uses to turn a
 #: :meth:`ReproError.as_dict` payload into a response status.  Client
 #: mistakes (malformed envelopes, domain-invalid requests) are 4xx;
-#: infrastructure failures (engine, worker crash) are 5xx.
+#: infrastructure failures (engine) are 5xx.
 HTTP_STATUS_BY_CODE: Dict[str, int] = {
     "repro": 500,
     "specification": 400,
@@ -255,7 +242,6 @@ HTTP_STATUS_BY_CODE: Dict[str, int] = {
     "simulation": 400,
     "flow": 400,
     "engine": 500,
-    "worker-crash": 500,
     "store": 409,
     "request": 400,
     "serve": 503,

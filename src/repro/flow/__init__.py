@@ -11,8 +11,7 @@
   controller's typed inputs and products (driven through
   :meth:`repro.api.Session.flow`): design-space exploration, user
   distillation, netlist and layout generation for every distilled
-  solution, with reuse-aware generation through
-  :mod:`repro.physical` (``FlowInputs.reuse``).
+  solution through one reuse-aware :mod:`repro.physical` pipeline.
 * :mod:`~repro.flow.baselines` — the traditional manual flow and the
   AutoDCIM-style flow used for the Table-2 comparison.
 * :mod:`~repro.flow.report` — human-readable and CSV-style reporting.

@@ -4,10 +4,9 @@ The template-based hierarchical generation strategy (paper section 3.3,
 Figure 7) lives in :class:`repro.physical.pipeline.PhysicalPipeline`;
 this module keeps the historical :class:`LayoutGenerator` front door as a
 thin driver so single-design call sites (tests, benchmarks, the layout
-request) keep working unchanged.  A generator built directly — without a
-shared pipeline — runs with reuse disabled, which is exactly the
-pre-pipeline behaviour: every level solved from scratch, geometry
-identical to the historical generator.
+request) keep working unchanged.  A generator built without a shared
+pipeline runs on a private fresh one: its first design is solved from
+scratch, and later designs reuse the macros it solved.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ class LayoutGenerator:
         footprints: cell footprints (defaults to the calibrated area model).
         routing_pitch: routing-grid pitch in dbu.
         pipeline: an externally owned :class:`PhysicalPipeline` to run on
-            (the session layer shares its reuse caches this way); when
-            omitted, a private reuse-off pipeline reproduces the
-            historical flat generator exactly.
+            (the session layer shares its macro cache this way); when
+            omitted, the generator builds a private fresh one.
     """
 
     def __init__(
@@ -43,10 +41,7 @@ class LayoutGenerator:
         pipeline: Optional[PhysicalPipeline] = None,
     ) -> None:
         self.pipeline = pipeline or PhysicalPipeline(
-            library,
-            footprints=footprints,
-            routing_pitch=routing_pitch,
-            reuse=False,
+            library, footprints=footprints, routing_pitch=routing_pitch,
         )
         self.library = self.pipeline.library
         self.technology = self.pipeline.technology

@@ -3,10 +3,10 @@
 The hierarchical netlist construction (paper Figure 4, middle) lives in
 :class:`repro.physical.netlist_builder.NetlistBuilder`; this module keeps
 the historical :class:`TemplateNetlistGenerator` front door as a thin
-driver for single-design call sites, and adds the option of running
-through a shared :class:`~repro.physical.pipeline.PhysicalPipeline` so
-repeated generations of the same spec are served from the netlist
-artifact cache.
+driver for single-design call sites.  Generation runs through a
+:class:`~repro.physical.pipeline.PhysicalPipeline` — a shared one, or a
+private fresh one — so repeated generations of the same spec are served
+from the netlist artifact cache.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.arch.architecture import SynthesizableACIM
 from repro.arch.spec import ACIMDesignSpec
 from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
-from repro.physical.netlist_builder import NetlistBuilder
 from repro.physical.pipeline import PhysicalPipeline
 
 
@@ -27,8 +26,8 @@ class TemplateNetlistGenerator:
     Args:
         library: the customized cell library (must provide every required
             leaf cell).
-        pipeline: an externally owned :class:`PhysicalPipeline`; when
-            given, generation runs through its cached netlist stage.
+        pipeline: an externally owned :class:`PhysicalPipeline` to run on;
+            when omitted, the generator builds a private fresh one.
     """
 
     def __init__(
@@ -36,22 +35,16 @@ class TemplateNetlistGenerator:
         library: CellLibrary,
         pipeline: Optional[PhysicalPipeline] = None,
     ) -> None:
-        self.pipeline = pipeline
-        self.builder = (
-            pipeline.netlist_builder if pipeline is not None
-            else NetlistBuilder(library)
-        )
-        self.library = self.builder.library
+        self.pipeline = pipeline or PhysicalPipeline(library)
+        self.library = self.pipeline.library
 
     # -- public API -----------------------------------------------------------------
 
     def generate(self, spec: ACIMDesignSpec) -> Circuit:
         """Generate the macro netlist for ``spec``."""
-        if self.pipeline is not None:
-            return self.pipeline.run(
-                spec, generate_netlist=True, generate_layout=False,
-            ).netlist
-        return self.builder.build(spec)
+        return self.pipeline.run(
+            spec, generate_netlist=True, generate_layout=False,
+        ).netlist
 
     # -- statistics ----------------------------------------------------------------------
 

@@ -114,8 +114,6 @@ def engine_stats_table(stats: Dict[str, float]) -> List[Dict]:
             else 0.0
         )
     row = {
-        "backend": stats.get("backend", "serial"),
-        "workers": stats.get("workers", 1),
         "batches": stats.get("batches", 0),
         "tasks": stats.get("tasks", 0),
         "evaluations": evaluations,

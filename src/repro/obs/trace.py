@@ -1,4 +1,4 @@
-"""Nested-span tracing across threads and worker processes.
+"""Nested-span tracing across threads.
 
 :class:`Tracer` produces :class:`Span` records — named intervals on the
 monotonic clock with parent/child links and free-form attributes — via
@@ -12,13 +12,6 @@ targets the engine's execution model:
 * **Thread-safe nesting.**  The current-span stack is thread-local, so
   concurrent threads (a server's job workers) each build their own
   ancestry while recording into one shared, lock-protected buffer.
-* **Cross-process collection.**  ``engine.map`` items running in pool
-  workers are timed with the same ``time.perf_counter_ns()`` clock
-  (CLOCK_MONOTONIC is system-wide on Linux, and workers are forked from
-  the parent); their finished spans travel back as plain dictionaries
-  with the results and the parent re-parents them under its
-  ``engine.map`` span with :meth:`Tracer.adopt`, so one trace covers the
-  parent *and* the per-item worker compute.
 * **Bounded memory.**  The buffer holds at most ``max_spans`` records;
   overflow increments :attr:`Tracer.dropped` instead of growing without
   bound.
@@ -33,7 +26,7 @@ import itertools
 import os
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: Default span-buffer capacity (per tracer).
 DEFAULT_MAX_SPANS = 100_000
@@ -50,7 +43,7 @@ class Span:
     """One named, timed interval with ancestry and attributes.
 
     Attributes:
-        name: span name (dotted lowercase, e.g. ``engine.map``).
+        name: span name (dotted lowercase, e.g. ``engine.evaluate_specs``).
         span_id: unique id (``<pid hex>-<counter hex>``).
         parent_id: enclosing span's id, or ``None`` for a root span.
         start_ns / end_ns: ``time.perf_counter_ns()`` interval
@@ -229,7 +222,7 @@ class Tracer:
         return stack[-1] if stack else None
 
     def span(self, name: str, **attrs):
-        """Open a nested span: ``with tracer.span("engine.map", n=3):``.
+        """Open a nested span: ``with tracer.span("physical.routing", n=3):``.
 
         Returns a context manager yielding the live :class:`Span` (so the
         body can ``span.set(...)`` attributes), or the shared no-op
@@ -253,37 +246,6 @@ class Tracer:
                 self.dropped += 1
                 return
             self._spans.append(span)
-
-    def adopt(
-        self,
-        records: Iterable[Dict],
-        parent_id: Optional[str] = None,
-    ) -> List[Span]:
-        """Fold worker-recorded span dictionaries into this trace.
-
-        Each record needs ``name``/``start_ns``/``end_ns`` (and may carry
-        ``span_id``/``pid``/``tid``/``attrs``); a record's own span id is
-        preserved when present — span ids embed the recording pid, so a
-        worker-side hierarchy (e.g. physical-pipeline stages nested under
-        a map item) keeps its internal links — and every adopted root is
-        re-parented under ``parent_id``, so worker spans nest under the
-        parent's ``engine.map`` span.
-        """
-        adopted: List[Span] = []
-        for record in records:
-            span = Span(
-                record["name"],
-                parent_id=record.get("parent_id") or parent_id,
-                attrs=dict(record.get("attrs") or {}),
-                span_id=record.get("span_id"),
-                start_ns=int(record["start_ns"]),
-                end_ns=int(record["end_ns"]),
-                pid=record.get("pid"),
-                tid=record.get("tid"),
-            )
-            self.record(span)
-            adopted.append(span)
-        return adopted
 
     # -- reading --------------------------------------------------------------
 

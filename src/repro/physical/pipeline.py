@@ -17,10 +17,10 @@ instantiated by transform everywhere it recurs, within a design, across
 the designs of a distill flow, and (through the result store's
 ``artifacts`` table) across processes and campaigns.
 
-With ``reuse=False`` the pipeline bypasses every cache and solves each
-stage from scratch — that path is geometry-identical (GDSII
-byte-identical) to the pre-pipeline generator and is regression-tested
-against the reuse path.
+A fresh pipeline has nothing cached and no template to derive from, so
+it solves every stage of its first design from scratch: one fresh
+pipeline per design is the cold reference the shared-pipeline path is
+regression-tested against (GDSII byte-identical).
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ class PhysicalPipeline:
         footprints: cell footprints (defaults to the calibrated area model).
         routing_pitch: routing-grid pitch in dbu.
         store: optional persistent result store backing the macro cache.
-        reuse: serve repeated stage work from the macro/artifact cache;
-            ``False`` solves everything from scratch (the regression
-            baseline path).
         metrics: optional :class:`~repro.obs.MetricsRegistry` stage
             timings and macro reuse counters are recorded into
             (``physical.*`` names).
@@ -141,21 +138,19 @@ class PhysicalPipeline:
         footprints: Optional[CellFootprints] = None,
         routing_pitch: int = 200,
         store=None,
-        reuse: bool = True,
         metrics=None,
     ) -> None:
         self.library = library
         self.technology = library.technology
         self.footprints = footprints or CellFootprints.from_area_parameters()
         self.routing_pitch = routing_pitch
-        self.reuse = reuse
         self.placer = HierarchicalPlacer()
         self.router = HierarchicalRouter(
             self.technology,
             routing_layers=self.ROUTING_LAYERS,
             pitch=routing_pitch,
         )
-        self.macro_library = MacroLibrary(library, store=store if reuse else None)
+        self.macro_library = MacroLibrary(library, store=store)
         self.netlist_builder = NetlistBuilder(library)
         self._netlist_cache: Dict[str, Circuit] = {}
         self.stats = PipelineStats()
@@ -207,14 +202,12 @@ class PhysicalPipeline:
             self.macro_library.fingerprint(), list(spec.as_tuple()),
         ])
         with self._timed("netlist"):
-            if self.reuse:
-                cached = self._netlist_cache.get(digest)
-                if cached is not None:
-                    self.stats.stage("netlist").cache_hits += 1
-                    return cached
+            cached = self._netlist_cache.get(digest)
+            if cached is not None:
+                self.stats.stage("netlist").cache_hits += 1
+                return cached
             netlist = self.netlist_builder.build(spec)
-            if self.reuse:
-                self._netlist_cache[digest] = netlist
+            self._netlist_cache[digest] = netlist
             return netlist
 
     # -- stages: placement -> routing -> layout ----------------------------------------
@@ -321,20 +314,6 @@ class PhysicalPipeline:
         attributes the outcome to stage counters and the per-rung
         ``physical.macro.*`` metrics.
         """
-        if not self.reuse:
-            layout, stats = builder()
-            self.stats.macros_built += 1
-            return MacroRecord(
-                kind=kind,
-                digest=self.macro_library.macro_digest(kind, key),
-                layout=layout,
-                pin_map={pin.name: pin.layer for pin in layout.pins},
-                routed_nets=int(stats.get("routed", 0)),
-                failed_nets=int(stats.get("failed", 0)),
-                wirelength_dbu=int(stats.get("wirelength", 0)),
-                area_dbu2=layout.area,
-                source="built",
-            )
         library = self.macro_library
         before = (
             library.built, library.memory_hits, library.store_hits,

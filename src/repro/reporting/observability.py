@@ -55,8 +55,7 @@ def run_metrics_table(rows: Iterable[Dict]) -> List[Dict]:
             "gens_per_s": metrics.get("generations_per_second", 0.0),
             "evaluations": metrics.get("evaluations", 0),
             "cache_hit_rate": metrics.get("cache_hit_rate", 0.0),
-            "backend": metrics.get("backend", ""),
-            # built/reused/derived macro counts of reuse-pipeline flows.
+            # built/reused/derived macro counts of flow runs.
             "macros": (
                 "{}/{}/{}".format(
                     physical.get("macros_built", 0),

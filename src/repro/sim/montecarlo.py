@@ -11,7 +11,7 @@ on magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -119,36 +119,3 @@ class MonteCarloSnr:
             error_variance=error_variance,
             mean_absolute_error=float(np.mean(np.abs(errors))),
         )
-
-
-def _measure_one(task) -> SnrMeasurement:
-    """Fan-out work unit for :func:`measure_many` (picklable)."""
-    spec_tuple, trials, columns, seed = task
-    harness = MonteCarloSnr(ACIMDesignSpec(*spec_tuple), seed=seed)
-    return harness.run(trials=trials, columns=columns)
-
-
-def measure_many(
-    specs: Sequence[ACIMDesignSpec],
-    trials: int = 2000,
-    columns: int = 8,
-    seed: int = 2024,
-    engine=None,
-) -> List[SnrMeasurement]:
-    """Monte-Carlo SNR of many design points through an evaluation engine.
-
-    Each spec is an independent simulation with a seed derived from its
-    position, so results are deterministic regardless of backend.  Within a
-    task the trial block is fully vectorized (perturbation matrices, batch
-    SAR conversion — see :meth:`MonteCarloSnr.run`); across specs this is
-    the repository's canonical *high-fidelity* batch evaluation, the regime
-    where the engine's ``process`` backend pays off (see ``docs/engine.md``).
-    """
-    from repro.engine import default_engine
-
-    engine = engine or default_engine()
-    tasks = [
-        (spec.as_tuple(), trials, columns, seed + index)
-        for index, spec in enumerate(specs)
-    ]
-    return engine.map(_measure_one, tasks)

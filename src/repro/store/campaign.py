@@ -47,8 +47,6 @@ _NSGA2_FIELDS = (
     "crossover_probability",
     "mutation_probability",
     "seed",
-    "backend",
-    "workers",
 )
 
 #: Problem-shape fields persisted alongside the optimiser configuration.
@@ -115,12 +113,8 @@ class _CampaignManagerCore:
             the resume cost at a single generation; larger values trade
             re-computation on resume for fewer commits).
         engine: an externally owned engine every drive runs through (the
-            session layer shares its engine this way); it is never
-            closed here.  When omitted each ``run``/``resume``
-            builds a store-backed engine from the campaign's recorded
-            backend/workers and closes it afterwards.  The backend choice
-            never changes results — evaluation is pure and NSGA-II fronts
-            are backend-identical for a fixed seed.
+            session layer shares its engine this way).  When omitted each
+            ``run``/``resume`` builds a fresh engine backed by ``store``.
     """
 
     def __init__(
@@ -228,99 +222,92 @@ class _CampaignManagerCore:
     ) -> CampaignResult:
         config = NSGA2Config(**_nsga2_fields(campaign_config))
         start = time.perf_counter()
-        owns_engine = self.engine is None
-        engine = self.engine or EvaluationEngine(
-            config.backend, workers=config.workers, store=self.store
-        )
+        engine = self.engine or EvaluationEngine(store=self.store)
         stats_baseline = engine.stats.snapshot()
-        try:
-            problem = ACIMDesignProblem(
-                array_size,
-                estimator=self.estimator,
-                local_array_sizes=tuple(campaign_config["local_array_sizes"]),
-                max_adc_bits=campaign_config["max_adc_bits"],
-                min_height=campaign_config["min_height"],
-                max_height=campaign_config["max_height"],
-                engine=engine,
+        problem = ACIMDesignProblem(
+            array_size,
+            estimator=self.estimator,
+            local_array_sizes=tuple(campaign_config["local_array_sizes"]),
+            max_adc_bits=campaign_config["max_adc_bits"],
+            min_height=campaign_config["min_height"],
+            max_height=campaign_config["max_height"],
+            engine=engine,
+        )
+        optimizer = NSGA2(problem, config)
+        if checkpoint is not None:
+            optimizer.restore_state(checkpoint[1])
+        else:
+            optimizer.initialize()
+            self.store.save_checkpoint(name, 0, optimizer.state())
+        # The run-time cadence travels with the campaign so a resumed
+        # leg keeps the commit cost profile the run was started with.
+        checkpoint_every = int(
+            campaign_config.get("checkpoint_every", self.checkpoint_every)
+        )
+        steps_this_call = 0
+        generation_seconds = engine.metrics.histogram(
+            "campaign.generation.seconds"
+        )
+        generation_counter = engine.metrics.counter(
+            "campaign.generations"
+        )
+        while not optimizer.done:
+            if stop_after is not None and steps_this_call >= stop_after:
+                break
+            step_start = time.perf_counter()
+            optimizer.step()
+            generation_seconds.observe(time.perf_counter() - step_start)
+            generation_counter.inc()
+            steps_this_call += 1
+            stopping = (
+                stop_after is not None and steps_this_call >= stop_after
             )
-            optimizer = NSGA2(problem, config)
-            if checkpoint is not None:
-                optimizer.restore_state(checkpoint[1])
-            else:
-                optimizer.initialize()
-                self.store.save_checkpoint(name, 0, optimizer.state())
-            # The run-time cadence travels with the campaign so a resumed
-            # leg keeps the commit cost profile the run was started with.
-            checkpoint_every = int(
-                campaign_config.get("checkpoint_every", self.checkpoint_every)
-            )
-            steps_this_call = 0
-            generation_seconds = engine.metrics.histogram(
-                "campaign.generation.seconds"
-            )
-            generation_counter = engine.metrics.counter(
-                "campaign.generations"
-            )
-            while not optimizer.done:
-                if stop_after is not None and steps_this_call >= stop_after:
-                    break
-                step_start = time.perf_counter()
-                optimizer.step()
-                generation_seconds.observe(time.perf_counter() - step_start)
-                generation_counter.inc()
-                steps_this_call += 1
-                stopping = (
-                    stop_after is not None and steps_this_call >= stop_after
+            if (
+                optimizer.done
+                or stopping
+                or optimizer.generation % checkpoint_every == 0
+            ):
+                self.store.save_checkpoint(
+                    name, optimizer.generation, optimizer.state()
                 )
-                if (
-                    optimizer.done
-                    or stopping
-                    or optimizer.generation % checkpoint_every == 0
-                ):
-                    self.store.save_checkpoint(
-                        name, optimizer.generation, optimizer.state()
-                    )
-                if stopping:
-                    break
-            pareto_set: List[EvaluatedDesign] = []
-            if optimizer.done:
-                status = "completed"
-                pareto_set = pareto_designs_from_population(
-                    problem, optimizer.result()
-                )
-                self.store.save_pareto(
-                    name, _pareto_entries(pareto_set, self.estimator)
-                )
-            else:
-                status = "interrupted"
-            runtime = time.perf_counter() - start
-            self.store.update_campaign(
-                name,
-                status=status,
-                generations_done=optimizer.generation,
-                evaluations=optimizer.evaluations,
-                add_runtime_seconds=runtime,
+            if stopping:
+                break
+        pareto_set: List[EvaluatedDesign] = []
+        if optimizer.done:
+            status = "completed"
+            pareto_set = pareto_designs_from_population(
+                problem, optimizer.result()
             )
-            stats_delta = engine.stats.since(stats_baseline).as_dict()
-            run_row = _run_metrics_row(
-                status, steps_this_call, runtime, stats_delta
+            self.store.save_pareto(
+                name, _pareto_entries(pareto_set, self.estimator)
             )
-            self.store.put_run_metrics(name, run_row)
-            return CampaignResult(
-                name=name,
-                array_size=array_size,
-                status=status,
-                generations_done=optimizer.generation,
-                total_generations=config.generations,
-                evaluations=optimizer.evaluations,
-                pareto_set=pareto_set,
-                runtime_seconds=runtime,
-                engine_stats=stats_delta,
-                resumed=resumed,
-            )
-        finally:
-            if owns_engine:
-                engine.close()
+        else:
+            status = "interrupted"
+        runtime = time.perf_counter() - start
+        self.store.update_campaign(
+            name,
+            status=status,
+            generations_done=optimizer.generation,
+            evaluations=optimizer.evaluations,
+            add_runtime_seconds=runtime,
+        )
+        stats_delta = engine.stats.since(stats_baseline).as_dict()
+        run_row = _run_metrics_row(
+            status, steps_this_call, runtime, stats_delta
+        )
+        self.store.put_run_metrics(name, run_row)
+        return CampaignResult(
+            name=name,
+            array_size=array_size,
+            status=status,
+            generations_done=optimizer.generation,
+            total_generations=config.generations,
+            evaluations=optimizer.evaluations,
+            pareto_set=pareto_set,
+            runtime_seconds=runtime,
+            engine_stats=stats_delta,
+            resumed=resumed,
+        )
 
     # -- inspection ------------------------------------------------------------
 
@@ -352,15 +339,12 @@ class _CampaignManagerCore:
 def _nsga2_fields(campaign_config: Dict) -> Dict:
     """The NSGA2Config keyword arguments a stored campaign row records.
 
-    Rows written before the ``thread`` backend was removed may still name
-    it; it maps to ``serial`` (results are backend-identical by
-    contract).  Keys of removed features (``shards``, the pre-1.5.0
-    screening knobs) are not NSGA-II fields, so they are ignored.
+    Keys of removed features are not NSGA-II fields, so they are ignored:
+    ``backend``/``workers`` (rows written before 1.7.0, including the
+    older ``"thread"`` backend), ``shards`` and the pre-1.5.0 screening
+    knobs.  None of them ever changed a result.
     """
-    fields = {key: campaign_config[key] for key in _NSGA2_FIELDS}
-    if fields["backend"] == "thread":
-        fields["backend"] = "serial"
-    return fields
+    return {key: campaign_config[key] for key in _NSGA2_FIELDS}
 
 
 def _reject_screened(
@@ -416,8 +400,6 @@ def _run_metrics_row(
         "cache_hit_rate": (
             round(cache_hits / lookups, 4) if lookups else 0.0
         ),
-        "backend": stats_delta.get("backend"),
-        "workers": stats_delta.get("workers"),
     }
 
 

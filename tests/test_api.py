@@ -36,7 +36,6 @@ from repro.api import (
 from repro.cli import main
 from repro.dse.exhaustive import exhaustive_pareto_front
 from repro.errors import (
-    EngineError,
     FlowError,
     OptimizationError,
     ReproError,
@@ -139,6 +138,10 @@ class TestRequestValidation:
         # Surrogate screening was removed in 1.5.0: its knobs are typos now.
         with pytest.raises(RequestError, match="unknown field"):
             request_from_dict({"kind": "explore", "surrogate": "screen"})
+        # So is the flow's reuse switch, removed in 1.7.0.
+        with pytest.raises(RequestError, match="unknown field") as excinfo:
+            FlowRequest.from_dict({"array_size": 256, "reuse": "off"})
+        assert excinfo.value.field == "reuse"
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(RequestError, match="does not match"):
@@ -232,14 +235,9 @@ class TestApiResult:
 
 class TestSessionConfig:
     def test_round_trip(self):
-        config = SessionConfig(backend="process", workers=2,
-                               store="s.sqlite")
+        config = SessionConfig(store="s.sqlite", calibrated_model=True)
         assert SessionConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))) == config
-
-    def test_bad_backend_raises_engine_error(self):
-        with pytest.raises(EngineError):
-            SessionConfig(backend="gpu").validate()
 
     def test_bad_technology_raises_technology_error(self):
         with pytest.raises(TechnologyError):
@@ -247,10 +245,15 @@ class TestSessionConfig:
 
     def test_unknown_field_raises_request_error(self):
         with pytest.raises(RequestError):
-            SessionConfig.from_dict({"backend": "serial", "wokers": 2})
+            SessionConfig.from_dict({"store": None, "stroe": "s.sqlite"})
         # cache_size was removed in 1.6.0: it is a typo now.
         with pytest.raises(RequestError, match="cache_size"):
             SessionConfig.from_dict({"cache_size": 128})
+        # backend and workers were removed in 1.7.0 with the process pool.
+        for removed, value in (("backend", "process"), ("workers", 2)):
+            with pytest.raises(RequestError, match=removed) as excinfo:
+                SessionConfig.from_dict({removed: value})
+            assert excinfo.value.field == removed
 
 
 # ---------------------------------------------------------------------------
@@ -404,36 +407,24 @@ class TestSessionWorkflows:
                 array_size=256, population=16, generations=3, seed=1,
                 max_layouts=2))
         stats = result.payload["physical_stats"]
-        assert result.payload["reuse"] == "auto"
+        assert "reuse" not in result.payload
         assert stats["macros_built"] >= 1
         assert set(stats["stages"]) >= {"netlist", "placement", "routing",
                                         "layout", "export"}
-        # Stage timings/hit counters are folded into the flat engine stats.
+        # Stage timings/hit counters are folded into the flat engine
+        # stats, and the macro counters account for every lookup.
         assert "stage_routing_seconds" in result.engine_stats
-        assert "macros_reused" in result.engine_stats
+        for counter in ("macros_built", "macros_reused", "macros_derived"):
+            assert result.engine_stats[counter] == stats[counter], counter
         json.loads(result.to_json())
 
-    def test_flow_reuse_off_is_the_flat_baseline(self):
-        with Session() as session:
-            flat = session.flow(FlowRequest(
-                array_size=256, population=16, generations=3, seed=1,
-                max_layouts=1, reuse="off"))
-            auto = session.flow(FlowRequest(
-                array_size=256, population=16, generations=3, seed=1,
-                max_layouts=1))
-        assert flat.payload["physical_stats"] == {}
-
-        def geometry(payload):
-            return {
-                key: {k: v for k, v in report.items() if k != "runtime_s"}
-                for key, report in payload["layouts"].items()
-            }
-
-        assert geometry(flat.payload) == geometry(auto.payload)
-
     def test_flow_rejects_unknown_reuse_mode(self):
-        with pytest.raises(FlowError):
-            FlowRequest(array_size=256, reuse="sometimes").validate()
+        # The reuse switch was removed in 1.7.0: every mode is rejected.
+        with pytest.raises(TypeError):
+            FlowRequest(array_size=256, reuse="off")
+        with pytest.raises(RequestError) as excinfo:
+            request_from_dict({"kind": "flow", "reuse": "auto"})
+        assert excinfo.value.field == "reuse"
 
     def test_session_layout_requests_share_the_macro_cache(self):
         request = LayoutRequest(height=16, width=4, local_array_size=4,
@@ -539,10 +530,12 @@ class TestCliThroughApi:
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["estimate", "--height", "16", "--width",
-                                  "4", "--local", "4", "--adc-bits", "2",
-                                  "--backend", "process", "--workers", "2"])
-        assert args.backend == "process" and args.workers == 2
+        # The --backend/--workers flags were removed in 1.7.0.
+        for removed in (["--backend", "process"], ["--workers", "2"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["estimate", "--height", "16", "--width",
+                                   "4", "--local", "4", "--adc-bits", "2",
+                                   *removed])
         for argv in (
             ["explore", "--json"],
             ["flow", "--json"],
@@ -556,8 +549,8 @@ class TestCliThroughApi:
         ):
             parsed = parser.parse_args(argv)
             assert parsed.json_out == "-"
-            assert hasattr(parsed, "backend")
             assert hasattr(parsed, "store")
+            assert hasattr(parsed, "trace_out")
 
     def test_estimate_json_stdout_is_an_api_result(self, capsys):
         exit_code = main(["estimate", "--height", "16", "--width", "4",

@@ -222,13 +222,57 @@ class TestCampaignResume:
 
 
 class TestLegacyCampaignRows:
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", None), ("process", 2), ("thread", 4),
+    ])
+    def test_backend_and_workers_row_resumes_bit_identically(
+        self, tmp_path, reference_pareto, backend, workers
+    ):
+        # Rows stored by 1.6.0 (and "thread" rows from before it) carry
+        # the engine knobs removed in 1.7.0; an interrupted one resumes
+        # from its checkpoint with the keys ignored.
+        path = tmp_path / "v160.sqlite"
+        with ResultStore(path) as store:
+            _CampaignManagerCore(store).run(
+                "v160", ARRAY_SIZE, config=CONFIG, stop_after_generations=2
+            )
+            uninterrupted = _CampaignManagerCore(store).run(
+                "fresh", ARRAY_SIZE, config=CONFIG
+            )
+        with sqlite3.connect(path) as conn:
+            (config_json,) = conn.execute(
+                "SELECT config_json FROM campaigns WHERE name = 'v160'"
+            ).fetchone()
+            config = json.loads(config_json)
+            assert "backend" not in config and "workers" not in config
+            config.update(backend=backend, workers=workers)
+            conn.execute(
+                "UPDATE campaigns SET config_json = ? WHERE name = 'v160'",
+                (json.dumps(config),),
+            )
+        reset_shared_cache()
+        with ResultStore(path) as store:
+            assert store.latest_checkpoint("v160")[0] == 2
+            result = _CampaignManagerCore(store).resume("v160")
+            assert store.require_campaign("v160").config["backend"] == backend
+            stored = store.load_pareto("v160")
+        assert result.status == "completed" and result.resumed
+        assert not {"backend", "workers"} & set(result.engine_stats)
+        assert _pareto_signature(result.pareto_set) == reference_pareto
+        assert _pareto_signature(result.pareto_set) == _pareto_signature(
+            uninterrupted.pareto_set
+        )
+        assert [
+            (e.spec.as_tuple(), e.metrics.objectives()) for e in stored
+        ] == reference_pareto
+
     def test_legacy_thread_and_shards_row_resumes_bit_identically(
         self, tmp_path, reference_pareto
     ):
         # A row persisted before the thread backend, sharding and
-        # screening were removed: backend "thread" must resume as serial
-        # and the stored shards key and plain (surrogate="off") screening
-        # knobs must be ignored, landing on the same front.
+        # screening were removed: its backend, workers and shards keys
+        # and plain (surrogate="off") screening knobs must be ignored,
+        # landing on the same front.
         path = tmp_path / "legacy.sqlite"
         with ResultStore(path) as store:
             _CampaignManagerCore(store).run(
@@ -251,7 +295,6 @@ class TestLegacyCampaignRows:
         with ResultStore(path) as store:
             result = _CampaignManagerCore(store).resume("legacy")
         assert result.status == "completed"
-        assert result.engine_stats["backend"] == "serial"
         assert _pareto_signature(result.pareto_set) == reference_pareto
 
     def _interrupted(self, path):

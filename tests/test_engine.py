@@ -1,6 +1,5 @@
-"""Tests of the unified evaluation engine (cache, backends, determinism)."""
-
-import os
+"""Tests of the unified evaluation engine (cache, inline evaluation,
+determinism)."""
 
 import pytest
 
@@ -10,20 +9,12 @@ from repro.dse.exhaustive import evaluate_all
 from repro.dse.explorer import _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.engine import (
-    BACKENDS,
     EvaluationCache,
     EvaluationEngine,
     parameters_cache_key,
     spec_cache_key,
-    validate_backend,
 )
-from repro.errors import (
-    HTTP_STATUS_BY_CODE,
-    EngineError,
-    OptimizationError,
-    SpecificationError,
-    WorkerCrashError,
-)
+from repro.errors import EngineError, SpecificationError
 from repro.model.estimator import ACIMEstimator, METRIC_FIELDS, ModelParameters
 
 
@@ -61,41 +52,29 @@ class TestEvaluationCache:
 
 class TestEvaluationEngine:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError):
+        # Backends were removed in 1.7.0; the arguments are keyword-only,
+        # so a backend name can no longer bind silently as the cache.
+        with pytest.raises(TypeError):
             EvaluationEngine("gpu")
-        with pytest.raises(EngineError):
-            validate_backend("cluster")
-
-    def test_map_preserves_order(self):
-        with EvaluationEngine("serial") as engine:
-            assert engine.map(_square, list(range(20))) == [
-                i * i for i in range(20)
-            ]
-
-    def test_map_preserves_order_process(self):
-        with EvaluationEngine("process", workers=2) as engine:
-            assert engine.map(_square, list(range(20))) == [
-                i * i for i in range(20)
-            ]
+        with pytest.raises(TypeError):
+            EvaluationEngine(backend="serial")
+        with pytest.raises(TypeError):
+            EvaluationEngine(workers=2)
 
     def test_evaluate_specs_matches_serial_evaluate(self):
         estimator = ACIMEstimator()
         specs = list(enumerate_design_space(1024))
         expected = [estimator.evaluate(spec) for spec in specs]
-        for backend in BACKENDS:
-            engine = EvaluationEngine(
-                backend, workers=2, cache=EvaluationCache()
-            )
-            with engine:
-                got = engine.evaluate_specs(estimator, specs)
-            # The scalar fast path and the vectorized batch path agree
-            # within the documented 1e-12 parity bound (transcendental
-            # ufuncs may differ from ``math`` by a few ULP).
-            for got_metrics, expected_metrics in zip(got, expected):
-                _assert_metrics_close(got_metrics, expected_metrics, backend)
+        engine = EvaluationEngine(cache=EvaluationCache())
+        got = engine.evaluate_specs(estimator, specs)
+        # The scalar fast path and the vectorized batch path agree
+        # within the documented 1e-12 parity bound (transcendental
+        # ufuncs may differ from ``math`` by a few ULP).
+        for got_metrics, expected_metrics in zip(got, expected):
+            _assert_metrics_close(got_metrics, expected_metrics)
 
     def test_cache_hits_on_repeat_batches(self):
-        engine = EvaluationEngine("serial", cache=EvaluationCache())
+        engine = EvaluationEngine(cache=EvaluationCache())
         estimator = ACIMEstimator()
         specs = list(enumerate_design_space(1024))
         engine.evaluate_specs(estimator, specs)
@@ -105,7 +84,7 @@ class TestEvaluationEngine:
         assert engine.stats.cache_hits == len(specs)
 
     def test_duplicate_specs_evaluated_once(self):
-        engine = EvaluationEngine("serial", cache=EvaluationCache())
+        engine = EvaluationEngine(cache=EvaluationCache())
         estimator = ACIMEstimator()
         spec = ACIMDesignSpec(64, 16, 2, 4)
         results = engine.evaluate_specs(estimator, [spec, spec, spec])
@@ -113,41 +92,33 @@ class TestEvaluationEngine:
         assert engine.stats.evaluations == 1
 
     def test_stats_as_dict(self):
-        engine = EvaluationEngine("serial", cache=EvaluationCache())
+        engine = EvaluationEngine(cache=EvaluationCache())
         engine.evaluate_specs(ACIMEstimator(), [ACIMDesignSpec(64, 16, 2, 4)])
         stats = engine.stats.as_dict()
-        assert stats["backend"] == "serial"
+        # Removed in 1.7.0 together with the pool: gone, not constants.
+        assert not {"backend", "workers"} & set(stats)
         assert stats["evaluations"] == 1
         assert stats["busy_seconds"] > 0
 
 
 class TestInlineEvaluation:
-    """Spec evaluation runs in the calling process on every backend."""
-
-    def test_backends_are_serial_and_process(self):
-        assert BACKENDS == ("serial", "process")
-        with pytest.raises(EngineError):
-            EvaluationEngine("thread")
+    """Spec evaluation runs in the calling process."""
 
     def test_empty_spec_list(self):
-        with _fresh_process_engine() as engine:
-            assert engine.evaluate_specs(ACIMEstimator(), []) == []
-            assert engine._executor is None
+        engine = _fresh_engine()
+        assert engine.evaluate_specs(ACIMEstimator(), []) == []
+        assert engine.stats.tasks == 0
 
     def test_single_spec_batch(self):
         estimator = ACIMEstimator()
         spec = ACIMDesignSpec(64, 16, 2, 4)
-        with _fresh_process_engine() as engine:
-            (got,) = engine.evaluate_specs(estimator, [spec])
+        (got,) = _fresh_engine().evaluate_specs(estimator, [spec])
         _assert_metrics_close(got, estimator.evaluate(spec))
 
-    def test_process_backend_evaluates_large_batch_inline(self):
+    def test_large_batch_evaluates_inline(self):
         estimator = ACIMEstimator()
         batch = SpecBatch.enumerate(4096)
-        with _fresh_process_engine() as engine:
-            got = engine.evaluate_specs(estimator, batch)
-            # No pool is ever spawned for analytic work.
-            assert engine._executor is None
+        got = _fresh_engine().evaluate_specs(estimator, batch)
         expected = estimator.evaluate_batch(batch)
         assert [m.spec for m in got] == [m.spec for m in expected]
         for g, e in zip(got, expected):
@@ -159,106 +130,37 @@ class TestInlineEvaluation:
             SpecBatch.enumerate(1024),
             SpecBatch.from_spec(ACIMDesignSpec(4, 256, 8, 1)),  # L > H
         ])
-        with _fresh_process_engine() as engine:
-            with pytest.raises(SpecificationError):
-                engine.evaluate_specs(ACIMEstimator(), batch)
+        with pytest.raises(SpecificationError):
+            _fresh_engine().evaluate_specs(ACIMEstimator(), batch)
 
     def test_stats_drop_dispatch_and_serialize_seconds(self):
-        for backend in BACKENDS:
-            with EvaluationEngine(
-                backend, workers=2, cache=EvaluationCache()
-            ) as engine:
-                engine.evaluate_specs(
-                    ACIMEstimator(), SpecBatch.enumerate(1024)
-                )
-                stats = engine.stats.as_dict()
-            assert stats["worker_seconds"] > 0, backend
-            assert "dispatch_seconds" not in stats
-            assert "serialize_seconds" not in stats
-            assert engine.metrics.value("engine.dispatch.seconds", None) is None
-            assert engine.metrics.value("engine.serialize.seconds", None) is None
+        engine = _fresh_engine()
+        engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+        stats = engine.stats.as_dict()
+        assert stats["worker_seconds"] > 0
+        assert "dispatch_seconds" not in stats
+        assert "serialize_seconds" not in stats
+        assert engine.metrics.value("engine.dispatch.seconds", None) is None
+        assert engine.metrics.value("engine.serialize.seconds", None) is None
 
     def test_worker_seconds_are_deltas_in_since(self):
-        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
-            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-            baseline = engine.stats.snapshot()
-            engine.cache.clear()
-            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-            delta = engine.stats.since(baseline)
+        engine = _fresh_engine()
+        engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+        baseline = engine.stats.snapshot()
+        engine.cache.clear()
+        engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+        delta = engine.stats.since(baseline)
         assert 0 < delta.worker_seconds < engine.stats.worker_seconds
 
     def test_engine_stats_table_shows_worker_seconds(self):
         from repro.flow.report import engine_stats_table
 
-        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
-            engine.evaluate_specs(
-                ACIMEstimator(), [ACIMDesignSpec(64, 16, 2, 4)]
-            )
-            (row,) = engine_stats_table(engine.stats.as_dict())
+        engine = _fresh_engine()
+        engine.evaluate_specs(ACIMEstimator(), [ACIMDesignSpec(64, 16, 2, 4)])
+        (row,) = engine_stats_table(engine.stats.as_dict())
         assert {"busy_s", "worker_s"} <= set(row)
         assert not {"dispatch_s", "serialize_s"} & set(row)
-
-
-class TestEngineMap:
-    """``map`` is the engine's one parallel path (a process pool)."""
-
-    def test_generic_map_chunks_are_clamped(self):
-        engine = EvaluationEngine("process", workers=8)
-        try:
-            # An even 4 * workers split of 20 items would be 1-item
-            # chunks; the floor keeps them larger without idling workers.
-            assert 1 < engine._chunk(20) <= 20 // 8
-            assert engine._chunk(20) <= 20
-            assert engine._chunk(3200) == 100  # the even split
-            assert engine._chunk(1) == 1
-        finally:
-            engine.close()
-
-    def test_per_call_chunk_size_preserves_order(self):
-        with EvaluationEngine("process", workers=2) as engine:
-            assert engine.map(_square, list(range(9)), chunk_size=4) == [
-                i * i for i in range(9)
-            ]
-
-    def test_infeasible_spec_raises_in_parent_without_hanging(self):
-        # A worker-side SpecificationError is an ordinary exception: it is
-        # shipped back and raised in the parent, and the pool survives.
-        specs = [(64, 16, 2, 4), (4, 256, 8, 1), (128, 64, 4, 3)]
-        with EvaluationEngine("process", workers=2) as engine:
-            with pytest.raises(SpecificationError):
-                engine.map(_evaluate_tuple, specs, chunk_size=1)
-            executor = engine._executor
-            assert engine.map(_square, [2, 3]) == [4, 9]
-            assert engine._executor is executor
-
-    def test_worker_crash_raises_typed_error(self):
-        with EvaluationEngine("process", workers=2) as engine:
-            with pytest.raises(WorkerCrashError) as excinfo:
-                engine.map(_crash_on_three, list(range(8)), chunk_size=1)
-            error = excinfo.value
-            assert error.code == "worker-crash"
-            assert isinstance(error, EngineError)
-            assert error.as_dict()["code"] == "worker-crash"
-            assert HTTP_STATUS_BY_CODE[error.code] == 500
-            assert engine._executor is None  # the broken pool is dropped
-
-    def test_next_map_after_a_crash_rebuilds_the_pool(self):
-        with EvaluationEngine("process", workers=2) as engine:
-            with pytest.raises(WorkerCrashError):
-                engine.map(_crash_on_three, list(range(8)), chunk_size=1)
-            assert engine.map(_square, list(range(20))) == [
-                i * i for i in range(20)
-            ]
-
-    def test_close_releases_the_pool_workers(self):
-        engine = EvaluationEngine("process", workers=2)
-        engine.map(_square, list(range(8)))
-        pids = list(engine._executor._processes)
-        assert pids
-        engine.close()
-        engine.close()  # idempotent
-        assert engine._executor is None
-        assert not any(_pid_running(pid) for pid in pids)
+        assert not {"backend", "workers"} & set(row)
 
 
 class TestEstimatorBatch:
@@ -279,41 +181,19 @@ class TestEstimatorBatch:
 
 
 class TestExhaustiveThroughEngine:
-    def test_evaluate_all_identical_across_backends(self):
-        serial = evaluate_all(4096)
-        with EvaluationEngine(
-            "process", workers=2, cache=EvaluationCache()
-        ) as engine:
-            parallel = evaluate_all(4096, engine=engine)
-        assert [d.spec for d in parallel] == [d.spec for d in serial]
-        assert [d.objectives for d in parallel] == [
-            d.objectives for d in serial
+    def test_evaluate_all_identical_with_injected_engine(self):
+        # The default engine (shared cache) and an injected private-cache
+        # engine must agree exactly.
+        shared = evaluate_all(4096)
+        private = evaluate_all(4096, engine=_fresh_engine())
+        assert [d.spec for d in private] == [d.spec for d in shared]
+        assert [d.objectives for d in private] == [
+            d.objectives for d in shared
         ]
 
 
 class TestSeedDeterminismAcrossBackends:
-    """The ISSUE's regression: same seed => identical Pareto set, any backend."""
-
-    def test_serial_and_process_backends_agree(self):
-        pareto_sets = {}
-        for backend in ("serial", "process"):
-            config = NSGA2Config(
-                population_size=28, generations=10, seed=11,
-                backend=backend, workers=2,
-            )
-            # A private cache per run so the comparison is between actual
-            # computations, not a warm shared cache.
-            engine = EvaluationEngine(
-                backend, workers=2, cache=EvaluationCache()
-            )
-            with engine:
-                explorer = _ExplorerCore(config=config, engine=engine)
-                result = explorer.explore(4096)
-            pareto_sets[backend] = {
-                (design.spec.as_tuple(), design.objectives)
-                for design in result.pareto_set
-            }
-        assert pareto_sets["serial"] == pareto_sets["process"]
+    """Same seed => identical Pareto set, whatever computes it."""
 
     def test_vectorized_and_reference_kernels_agree_bit_identically(self):
         """The ISSUE 3 regression: the array-kernel refactor leaves a
@@ -325,12 +205,10 @@ class TestSeedDeterminismAcrossBackends:
             estimator = ACIMEstimator(kernel=kernel)
             # A private cache per run so the two kernels cannot serve each
             # other's evaluations.
-            engine = EvaluationEngine("serial", cache=EvaluationCache())
-            with engine:
-                explorer = _ExplorerCore(
-                    estimator=estimator, config=config, engine=engine
-                )
-                result = explorer.explore(4096)
+            explorer = _ExplorerCore(
+                estimator=estimator, config=config, engine=_fresh_engine()
+            )
+            result = explorer.explore(4096)
             pareto_sets[kernel] = [
                 (design.spec.as_tuple(), design.objectives)
                 for design in result.pareto_set
@@ -340,15 +218,14 @@ class TestSeedDeterminismAcrossBackends:
     def test_engine_stats_surface_in_result(self):
         config = NSGA2Config(population_size=16, generations=4, seed=2)
         result = _ExplorerCore(config=config).explore(1024)
-        assert result.engine_stats["backend"] == "serial"
+        assert "backend" not in result.engine_stats
         assert result.engine_stats["tasks"] > 0
 
     def test_engine_stats_are_per_run_deltas(self):
         config = NSGA2Config(population_size=16, generations=4, seed=2)
-        with EvaluationEngine("serial", cache=EvaluationCache()) as engine:
-            explorer = _ExplorerCore(config=config, engine=engine)
-            first = explorer.explore(1024)
-            second = explorer.explore(1024)
+        explorer = _ExplorerCore(config=config, engine=_fresh_engine())
+        first = explorer.explore(1024)
+        second = explorer.explore(1024)
         # Identical seeded runs submit the identical number of tasks; a
         # cumulative (non-delta) snapshot would double on the second run.
         assert second.engine_stats["tasks"] == first.engine_stats["tasks"]
@@ -357,43 +234,16 @@ class TestSeedDeterminismAcrossBackends:
         assert second.engine_stats["cache_hits"] > 0
 
     def test_invalid_backend_in_config(self):
-        with pytest.raises(EngineError):
+        # Removed in 1.7.0: the optimiser config has no engine knobs.
+        with pytest.raises(TypeError):
             NSGA2Config(backend="gpu")
-        with pytest.raises(OptimizationError):
+        with pytest.raises(TypeError):
             NSGA2Config(workers=0)
 
 
-def _square(value: int) -> int:
-    return value * value
-
-
-def _crash_on_three(value: int) -> int:
-    """Kill the worker process outright on item 3 (fault injection)."""
-    if value == 3:
-        os._exit(1)
-    return value * value
-
-
-def _evaluate_tuple(spec_tuple):
-    return ACIMEstimator().evaluate(ACIMDesignSpec(*spec_tuple))
-
-
-def _fresh_process_engine(workers: int = 2) -> EvaluationEngine:
-    """A process engine with a private cache (no shared-cache hits)."""
-    return EvaluationEngine("process", workers=workers, cache=EvaluationCache())
-
-
-def _pid_running(pid: int) -> bool:
-    """True while ``pid`` is a live (non-zombie) process."""
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, PermissionError):
-        return False
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().split(")")[-1].split()[0] != "Z"
-    except OSError:
-        return False
+def _fresh_engine() -> EvaluationEngine:
+    """An engine with a private cache (no shared-cache hits)."""
+    return EvaluationEngine(cache=EvaluationCache())
 
 
 def _assert_metrics_close(got, expected, context=""):

@@ -231,37 +231,6 @@ class TestFlowCore:
     def test_flow_surfaces_engine_stats(self):
         flow = _FlowCore(FlowInputs(array_size=1024, nsga2=FAST_NSGA2))
         result = flow.run(generate_layouts=False)
-        assert result.engine_stats["backend"] == "serial"
+        assert not {"backend", "workers"} & set(result.engine_stats)
         assert result.engine_stats["tasks"] > 0
         assert "engine" in result.summary()
-
-    def test_flow_honors_nsga2_backend_choice(self):
-        # Parallelism configured only on the optimizer config must drive
-        # the whole flow, not be silently ignored.
-        import dataclasses
-
-        nsga2 = dataclasses.replace(FAST_NSGA2, backend="process", workers=2)
-        flow = _FlowCore(FlowInputs(array_size=1024, nsga2=nsga2))
-        assert flow.engine.backend == "process"
-        assert flow.engine.workers == 2
-        result = flow.run(generate_layouts=False)
-        assert result.engine_stats["backend"] == "process"
-
-    def test_flow_parallel_fanout_matches_serial(self):
-        # The serial flow runs the reuse-aware pipeline path; the parallel
-        # flow runs the flat reuse-off engine fan-out — their products must
-        # agree, which cross-checks the reuse path against the baseline.
-        serial = _FlowCore(FlowInputs(
-            array_size=256, nsga2=FAST_NSGA2, max_layouts=2))
-        with _FlowCore(FlowInputs(
-                array_size=256, nsga2=FAST_NSGA2, max_layouts=2,
-                backend="process", workers=2, reuse="off")) as parallel:
-            serial_result = serial.run(generate_layouts=True,
-                                       route_columns=False)
-            parallel_result = parallel.run(generate_layouts=True,
-                                           route_columns=False)
-        assert parallel_result.engine_stats["backend"] == "process"
-        assert set(parallel_result.netlists) == set(serial_result.netlists)
-        assert set(parallel_result.layouts) == set(serial_result.layouts)
-        for key, report in parallel_result.layouts.items():
-            assert report.area_um2 == serial_result.layouts[key].area_um2

@@ -11,7 +11,7 @@ The contract under test:
 * on the power-of-two design space the Equation-12 *objectives* are
   bit-identical between the two paths, so a fixed-seed NSGA-II run produces
   a bit-identical Pareto front before and after the vectorization (asserted
-  in ``tests/test_engine.py`` alongside the cross-backend regression).
+  in ``tests/test_engine.py``).
 """
 
 import numpy as np

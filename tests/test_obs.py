@@ -52,14 +52,7 @@ def _global_tracer_off():
 
 
 def _fresh_serial_engine(**kwargs) -> EvaluationEngine:
-    return EvaluationEngine("serial", cache=EvaluationCache(max_size=100_000),
-                            **kwargs)
-
-
-def _spanned_square(n: int) -> int:
-    """Picklable ``engine.map`` payload that opens a span in the worker."""
-    with get_tracer().span("worker.square", n=n):
-        return n * n
+    return EvaluationEngine(cache=EvaluationCache(max_size=100_000), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +146,7 @@ class TestInstruments:
 class TestTracer:
     def test_disabled_span_is_the_shared_null_handle(self):
         tracer = Tracer(enabled=False)
-        handle = tracer.span("engine.map", count=3)
+        handle = tracer.span("engine.evaluate_specs", count=3)
         assert handle is NULL_SPAN
         with handle as span:
             span.set("k", "v")  # must be a silent no-op
@@ -203,21 +196,6 @@ class TestTracer:
         assert len(tracer.finished_spans()) == 2
         assert tracer.dropped == 3
 
-    def test_adopt_reparents_worker_records(self):
-        tracer = Tracer(enabled=True)
-        record = Span(
-            "engine.map.item", attrs={"lo": 0, "hi": 4},
-            start_ns=10, end_ns=20,
-        ).as_dict()
-        with tracer.span("engine.map") as map_span:
-            parent_id = map_span.span_id
-        adopted = tracer.adopt([record], parent_id=parent_id)
-        assert adopted[0].parent_id == parent_id
-        assert adopted[0].attrs == {"lo": 0, "hi": 4}
-        assert adopted[0].start_ns == 10 and adopted[0].end_ns == 20
-        names = [span.name for span in tracer.finished_spans()]
-        assert names == ["engine.map", "engine.map.item"]
-
     def test_configure_tracing_resets_the_global_tracer(self):
         tracer = configure_tracing(enabled=True)
         assert tracer is get_tracer()
@@ -240,7 +218,7 @@ class TestTracer:
 
 def _sample_trace() -> Tracer:
     tracer = Tracer(enabled=True)
-    with tracer.span("engine.map", count=2):
+    with tracer.span("engine.evaluate_specs", count=2):
         with tracer.span("engine.chunk", where="inline"):
             pass
     return tracer
@@ -255,7 +233,7 @@ class TestExporters:
         assert len(records) == 2
         by_name = {record["name"]: record for record in records}
         assert (by_name["engine.chunk"]["parent_id"]
-                == by_name["engine.map"]["span_id"])
+                == by_name["engine.evaluate_specs"]["span_id"])
         for record in records:
             assert 0 < record["start_ns"] <= record["end_ns"]
             assert record["duration_ns"] >= 0
@@ -315,8 +293,6 @@ class TestEngineStatsByteIdentity:
         engine = _fresh_serial_engine()
         stats = engine.stats.as_dict()
         expected = {
-            "backend": "serial",
-            "workers": 1,
             "batches": 0,
             "tasks": 0,
             "evaluations": 0,
@@ -332,7 +308,6 @@ class TestEngineStatsByteIdentity:
         for key, value in expected.items():
             assert type(stats[key]) is type(value), key
         assert json.dumps(stats) == json.dumps(expected)
-        engine.close()
 
     def test_counts_flow_through_the_registry(self):
         engine = _fresh_serial_engine()
@@ -349,7 +324,6 @@ class TestEngineStatsByteIdentity:
         assert engine.metrics.value("engine.cache.hit") == 2
         batch_size = engine.metrics.value("engine.eval.batch_size")
         assert batch_size["count"] == 2
-        engine.close()
 
     def test_snapshot_since_still_works(self):
         engine = _fresh_serial_engine()
@@ -359,89 +333,28 @@ class TestEngineStatsByteIdentity:
         engine.evaluate_specs(estimator, [ACIMDesignSpec(128, 128, 8, 3)])
         delta = engine.stats.since(baseline)
         assert delta.batches == 1 and delta.tasks == 1
-        engine.close()
 
 
 class TestEngineTracing:
     def test_serial_batch_produces_nested_spans(self):
+        # Analytic evaluation never leaves the calling process: one
+        # inline chunk span nests under the batch span.
         configure_tracing(enabled=True)
         engine = _fresh_serial_engine()
-        engine.evaluate_specs(ACIMEstimator(), [ACIMDesignSpec(128, 128, 4, 3)])
-        engine.close()
+        batch = SpecBatch.enumerate(16 * 1024)
+        engine.evaluate_specs(ACIMEstimator(), batch)
         spans = {span.name: span for span in get_tracer().finished_spans()}
         assert "engine.evaluate_specs" in spans
         assert "engine.chunk" in spans
-        chunk = spans["engine.chunk"]
-        assert chunk.attrs["where"] == "inline"
-        assert chunk.parent_id == spans["engine.evaluate_specs"].span_id
-
-    def test_process_backend_evaluates_specs_inline(self):
-        # Analytic evaluation never leaves the parent, whatever the
-        # backend: one inline chunk span nests under the batch span.
-        configure_tracing(enabled=True)
-        engine = EvaluationEngine(
-            "process", workers=2, cache=EvaluationCache(max_size=100_000),
-        )
-        batch = SpecBatch.enumerate(16 * 1024)
-        try:
-            engine.evaluate_specs(ACIMEstimator(), batch)
-            assert engine._executor is None  # no pool was spawned
-        finally:
-            engine.close()
-        spans = {span.name: span for span in get_tracer().finished_spans()}
         chunk = spans["engine.chunk"]
         assert chunk.attrs == {"where": "inline", "count": len(batch)}
         assert chunk.parent_id == spans["engine.evaluate_specs"].span_id
         assert chunk.pid == os.getpid()
 
-    def test_process_map_ships_item_spans(self):
-        configure_tracing(enabled=True)
-        engine = EvaluationEngine("process", workers=2)
-        try:
-            results = engine.map(_spanned_square, list(range(8)), chunk_size=1)
-        finally:
-            engine.close()
-        assert results == [n * n for n in range(8)]
-        spans = get_tracer().finished_spans()
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span.name, []).append(span)
-        map_ids = {s.span_id for s in by_name["engine.map"]}
-        items = by_name.get("engine.map.item", [])
-        assert len(items) == 8
-        parent_pid = by_name["engine.map"][0].pid
-        item_ids = set()
-        for item in items:
-            assert item.parent_id in map_ids  # re-parented under the map
-            assert item.pid != parent_pid  # recorded inside a worker
-            item_ids.add(item.span_id)
-        # The worker-side hierarchy survives adoption: each inner span
-        # still points at its enclosing map-item span.
-        inner = by_name.get("worker.square", [])
-        assert len(inner) == 8
-        for span in inner:
-            assert span.parent_id in item_ids
-            assert span.attrs["n"] in range(8)
-
     def test_disabled_tracer_records_nothing(self):
         engine = _fresh_serial_engine()
         engine.evaluate_specs(ACIMEstimator(), [ACIMDesignSpec(128, 128, 4, 3)])
-        engine.close()
         assert len(get_tracer().finished_spans()) == 0
-
-
-class TestEngineClose:
-    def test_close_is_idempotent_after_write_through(self, tmp_path):
-        store = ResultStore(tmp_path / "store.sqlite")
-        engine = EvaluationEngine("serial", store=store)
-        engine.evaluate_specs(ACIMEstimator(), [ACIMDesignSpec(128, 128, 4, 3)])
-        # Written through by the evaluation itself; close() adds nothing.
-        assert store.stats()["evaluations"] == 1
-        engine.close()
-        assert store.stats()["evaluations"] == 1
-        engine.close()  # second close must be a clean no-op
-        assert store.stats()["evaluations"] == 1
-        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +399,6 @@ class TestOverhead:
             started = time.perf_counter()
             engine.evaluate_specs(estimator, specs)
             elapsed = time.perf_counter() - started
-            engine.close()
             return elapsed
 
         configure_tracing(enabled=False)
@@ -505,7 +417,6 @@ class TestOverhead:
 class TestEngineStatsTableClamp:
     def test_negative_timing_renders_zero(self):
         rows = engine_stats_table({
-            "backend": "process", "workers": 4,
             "worker_seconds": -1e-9, "busy_seconds": 0.5,
             "evaluations": 100, "evaluations_per_second": 200.0,
         })
@@ -515,21 +426,18 @@ class TestEngineStatsTableClamp:
 
     def test_zero_busy_never_divides(self):
         rows = engine_stats_table({
-            "backend": "serial", "workers": 1,
             "evaluations": 10, "busy_seconds": 0.0,
         })
         assert rows[0]["evals_per_s"] == 0.0
 
     def test_missing_rate_recomputed_from_busy(self):
         rows = engine_stats_table({
-            "backend": "serial", "workers": 1,
             "evaluations": 100, "busy_seconds": 2.0,
         })
         assert rows[0]["evals_per_s"] == pytest.approx(50.0)
 
     def test_non_numeric_timings_clamp_to_zero(self):
         rows = engine_stats_table({
-            "backend": "serial", "workers": 1,
             "busy_seconds": None, "worker_seconds": "nan?",
             "evaluations_per_second": -1.0,
         })
@@ -582,7 +490,7 @@ class TestRunMetricsStore:
         assert metrics["status"] == "completed"
         assert metrics["generations"] == 3
         assert metrics["generations_per_second"] >= 0
-        assert metrics["backend"] == "serial"
+        assert not {"backend", "workers"} & set(metrics)
         assert 0.0 <= metrics["cache_hit_rate"] <= 1.0
 
 
@@ -653,8 +561,7 @@ class TestObservabilityTables:
             "metrics": {"status": "completed", "generations": 5,
                         "runtime_seconds": 2.0,
                         "generations_per_second": 2.5,
-                        "evaluations": 40, "cache_hit_rate": 0.25,
-                        "backend": "serial"},
+                        "evaluations": 40, "cache_hit_rate": 0.25},
         }])
         assert rows[0]["gens_per_s"] == 2.5
         assert rows[0]["cache_hit_rate"] == 0.25

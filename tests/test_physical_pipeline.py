@@ -1,6 +1,7 @@
 """Tests of the staged physical pipeline: content-addressed macro reuse,
 layout serialization, artifact persistence, the macro-instance consumer
-APIs of the placer/router, and the flow-level reuse knobs."""
+APIs of the placer/router, and flow-level reuse against the cold
+reference (a fresh pipeline per design)."""
 
 import json
 
@@ -8,11 +9,12 @@ import pytest
 
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.nsga2 import NSGA2Config
+from repro.api import FlowRequest
 from repro.errors import (
-    FlowError,
     LayoutError,
     PlacementError,
     ReproError,
+    RequestError,
     RoutingError,
 )
 from repro.flow.controller import FlowInputs, _FlowCore
@@ -44,6 +46,14 @@ def _gds_bytes(cell, technology, tmp_path, tag):
     return path.read_bytes()
 
 
+def _cold_report(cell_library, spec, route_columns=True):
+    """The cold reference: ``spec`` solved on a fresh pipeline, which has
+    nothing cached and no template to derive from."""
+    return PhysicalPipeline(cell_library).run(
+        spec, route_columns=route_columns
+    ).report
+
+
 # ---------------------------------------------------------------------------
 # Layout serialization (the persistence substrate of the macro cache)
 # ---------------------------------------------------------------------------
@@ -51,7 +61,7 @@ def _gds_bytes(cell, technology, tmp_path, tag):
 
 class TestLayoutSerialization:
     def test_round_trip_is_byte_identical(self, cell_library, technology, tmp_path):
-        pipeline = PhysicalPipeline(cell_library, reuse=False)
+        pipeline = PhysicalPipeline(cell_library)
         layout = pipeline.run(SPEC_A, route_columns=True).report.layout
         document = json.loads(json.dumps(layout_to_dict(layout)))
         rebuilt = layout_from_dict(document)
@@ -60,7 +70,7 @@ class TestLayoutSerialization:
         assert original == restored
 
     def test_round_trip_preserves_structure(self, cell_library):
-        pipeline = PhysicalPipeline(cell_library, reuse=False)
+        pipeline = PhysicalPipeline(cell_library)
         layout = pipeline.run(SPEC_A, route_columns=True).report.layout
         rebuilt = layout_from_dict(layout_to_dict(layout))
         assert rebuilt.name == layout.name
@@ -72,7 +82,7 @@ class TestLayoutSerialization:
         assert rebuilt.flat_shape_count() == layout.flat_shape_count()
 
     def test_shared_subcells_stay_shared(self, cell_library):
-        pipeline = PhysicalPipeline(cell_library, reuse=False)
+        pipeline = PhysicalPipeline(cell_library)
         layout = pipeline.run(SPEC_A, route_columns=False).report.layout
         rebuilt = layout_from_dict(layout_to_dict(layout))
         columns = [i.cell for i in rebuilt.instances
@@ -101,17 +111,21 @@ class TestPipelineReuse:
     def test_reuse_off_matches_reuse_on_byte_identically(
         self, cell_library, technology, tmp_path
     ):
-        off = PhysicalPipeline(cell_library, reuse=False)
-        on = PhysicalPipeline(cell_library, reuse=True)
-        report_off = off.run(SPEC_A, route_columns=True).report
-        report_on = on.run(SPEC_A, route_columns=True).report
+        # The reference solves SPEC_A cold; the shared pipeline solved
+        # SPEC_B first, so SPEC_A reuses its local array and column.
+        report_off = _cold_report(cell_library, SPEC_A)
+        shared = PhysicalPipeline(cell_library)
+        shared.run(SPEC_B, route_columns=True)
+        result_on = shared.run(SPEC_A, route_columns=True)
+        assert result_on.stats.macros_reused == 2
+        report_on = result_on.report
         assert _gds_bytes(report_off.layout, technology, tmp_path, "off") == \
             _gds_bytes(report_on.layout, technology, tmp_path, "on")
         assert report_off.as_dict()["area_um2"] == report_on.as_dict()["area_um2"]
         assert report_off.routed_nets == report_on.routed_nets
 
     def test_designs_sharing_structure_share_macros(self, cell_library):
-        pipeline = PhysicalPipeline(cell_library, reuse=True)
+        pipeline = PhysicalPipeline(cell_library)
         first = pipeline.run(SPEC_A, route_columns=True)
         assert first.stats.macros_built == 3  # local array, column, top
         assert first.stats.macros_reused == 0
@@ -128,7 +142,7 @@ class TestPipelineReuse:
         assert third.stats.macros_reused == 1
 
     def test_repeated_run_is_a_full_cache_hit(self, cell_library):
-        pipeline = PhysicalPipeline(cell_library, reuse=True)
+        pipeline = PhysicalPipeline(cell_library)
         pipeline.run(SPEC_A, route_columns=True)
         again = pipeline.run(SPEC_A, route_columns=True)
         assert again.stats.macros_built == 0
@@ -158,19 +172,20 @@ class TestPipelineReuse:
                 report_cold.total_wirelength_um
 
     def test_netlist_stage_caches(self, cell_library):
-        pipeline = PhysicalPipeline(cell_library, reuse=True)
+        pipeline = PhysicalPipeline(cell_library)
         first = pipeline.run(SPEC_A, generate_netlist=True, generate_layout=False)
         second = pipeline.run(SPEC_A, generate_netlist=True, generate_layout=False)
         assert second.netlist is first.netlist
         assert second.stats.stage("netlist").cache_hits == 1
-        # Reuse off always rebuilds.
-        off = PhysicalPipeline(cell_library, reuse=False)
-        a = off.run(SPEC_A, generate_netlist=True, generate_layout=False)
-        b = off.run(SPEC_A, generate_netlist=True, generate_layout=False)
-        assert a.netlist is not b.netlist
+        # A fresh pipeline has nothing cached: it builds its own netlist.
+        fresh = PhysicalPipeline(cell_library).run(
+            SPEC_A, generate_netlist=True, generate_layout=False
+        )
+        assert fresh.netlist is not first.netlist
+        assert fresh.stats.stage("netlist").cache_hits == 0
 
     def test_route_flag_is_part_of_the_macro_key(self, cell_library):
-        pipeline = PhysicalPipeline(cell_library, reuse=True)
+        pipeline = PhysicalPipeline(cell_library)
         routed = pipeline.run(SPEC_A, route_columns=True)
         floorplan = pipeline.run(SPEC_A, route_columns=False)
         assert routed.report.routed_nets > 0
@@ -179,11 +194,9 @@ class TestPipelineReuse:
 
     def test_layout_generator_is_a_thin_driver(self, cell_library):
         generator = LayoutGenerator(cell_library)
-        assert generator.pipeline.reuse is False
+        assert len(generator.pipeline.macro_library) == 0  # private, fresh
         report = generator.generate(SPEC_A, route_column=True)
-        direct = PhysicalPipeline(cell_library, reuse=False).run(
-            SPEC_A, route_columns=True
-        ).report
+        direct = _cold_report(cell_library, SPEC_A)
         left, right = report.as_dict(), direct.as_dict()
         left.pop("runtime_s"), right.pop("runtime_s")
         assert left == right
@@ -349,19 +362,23 @@ FAST_NSGA2 = NSGA2Config(population_size=16, generations=6, seed=3)
 
 
 class TestFlowReuse:
-    def test_reuse_modes_produce_identical_layouts(self):
+    def test_reuse_modes_produce_identical_layouts(
+        self, cell_library, technology, tmp_path
+    ):
+        # The flow's shared pipeline against the cold reference: every
+        # distilled design solved on its own fresh pipeline.
         auto = _FlowCore(FlowInputs(
-            array_size=256, nsga2=FAST_NSGA2, max_layouts=2)).run(
-            route_columns=True)
-        flat = _FlowCore(FlowInputs(
             array_size=256, nsga2=FAST_NSGA2, max_layouts=2,
-            reuse="off")).run(route_columns=True)
-        assert set(auto.layouts) == set(flat.layouts)
+            library=cell_library)).run(route_columns=True)
+        assert len(auto.layouts) == 2
         for key, report in auto.layouts.items():
-            assert report.area_um2 == flat.layouts[key].area_um2
-            assert report.routed_nets == flat.layouts[key].routed_nets
+            cold = _cold_report(cell_library, ACIMDesignSpec(*key))
+            tag = "-".join(map(str, key))
+            assert _gds_bytes(report.layout, technology, tmp_path, tag) == \
+                _gds_bytes(cold.layout, technology, tmp_path, f"cold-{tag}")
+            assert report.area_um2 == cold.area_um2
+            assert report.routed_nets == cold.routed_nets
         assert auto.physical_stats["macros_built"] >= 1
-        assert not flat.physical_stats
 
     def test_flow_shares_pipeline_across_runs(self):
         pipeline = None
@@ -376,17 +393,9 @@ class TestFlowReuse:
         assert result.physical_stats["macros_reused"] >= 1
 
     def test_unknown_reuse_mode_rejected(self):
-        with pytest.raises(FlowError):
-            _FlowCore(FlowInputs(array_size=256, reuse="sometimes"))
-
-    def test_parallel_engine_keeps_the_fanout_path(self):
-        # reuse="auto" must not serialize an explicitly parallel flow:
-        # worker pools cannot share one pipeline, so the engine fan-out
-        # is kept and no pipeline statistics are produced.
-        with _FlowCore(FlowInputs(
-                array_size=256, nsga2=FAST_NSGA2, max_layouts=1,
-                backend="process", workers=2)) as flow:
-            assert not flow._use_pipeline()
-            result = flow.run(route_columns=False)
-        assert result.layouts
-        assert not result.physical_stats
+        # The reuse switch was removed in 1.7.0: every mode is rejected.
+        with pytest.raises(TypeError):
+            FlowInputs(array_size=256, reuse="off")
+        with pytest.raises(RequestError) as excinfo:
+            FlowRequest.from_dict({"array_size": 256, "reuse": "off"})
+        assert excinfo.value.field == "reuse"

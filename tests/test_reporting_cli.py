@@ -142,16 +142,19 @@ class TestCli:
         assert csv_path.exists() and json_path.exists()
 
     def test_explore_command_with_engine_backend(self, capsys):
+        # Evaluation always runs inline: --engine-stats reports it, and
+        # the removed --backend flag is rejected.
         exit_code = main([
             "explore", "--array-size", "1024", "--population", "20",
-            "--generations", "6", "--seed", "3",
-            "--backend", "process", "--workers", "2", "--engine-stats",
+            "--generations", "6", "--seed", "3", "--engine-stats",
         ])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Pareto solutions" in captured
-        assert "process" in captured
         assert "evals_per_s" in captured
+        assert "backend" not in captured
+        with pytest.raises(SystemExit):
+            main(["explore", "--backend", "process"])
 
     def test_layout_command(self, tmp_path, capsys):
         exit_code = main([

@@ -562,6 +562,14 @@ class TestShutdown:
             ServerConfig(workers=0).validate()
         with pytest.raises(RequestError, match="unknown server config"):
             ServerConfig.from_dict({"wrkers": 2})
+        # The session's engine pool size was removed in 1.7.0; the
+        # server's own job threads stay ``ServerConfig.workers``.
+        with pytest.raises(RequestError, match="workers") as excinfo:
+            ServerConfig.from_dict({"session": {"workers": 2}})
+        assert excinfo.value.field == "workers"
+        with pytest.raises(RequestError, match="workers") as excinfo:
+            ServerConfig(session={"workers": 2}).validate()
+        assert excinfo.value.field == "workers"
 
 
 def _campaign_kwargs() -> dict:

@@ -158,18 +158,15 @@ class TestWriteThrough:
             engine = EvaluationEngine(store=store)
             engine.evaluate_specs(estimator, SPECS)
             assert engine.stats.evaluations == len(SPECS)
-            # Written by the call itself, not by close().
-            assert len(store) == len(SPECS)
-            engine.close()
-            engine.close()  # idempotent
+            # Written by the call itself: the engine has nothing to close.
             assert len(store) == len(SPECS)
         # A fresh engine on the reopened store (a new process's view)
         # recomputes instead of loading, and stores nothing twice.
         with ResultStore(path) as store:
-            with EvaluationEngine(store=store) as engine:
-                engine.evaluate_specs(estimator, SPECS)
-                assert engine.stats.evaluations == len(SPECS)
-                assert engine.stats.cache_hits == 0
+            engine = EvaluationEngine(store=store)
+            engine.evaluate_specs(estimator, SPECS)
+            assert engine.stats.evaluations == len(SPECS)
+            assert engine.stats.cache_hits == 0
             assert len(store) == len(SPECS)
 
     def test_store_backed_engine_owns_a_private_cache(self, store):
@@ -315,7 +312,7 @@ class TestQuery:
 
     def test_fast_path_matches_python_path(self, tmp_path):
         with ResultStore(tmp_path / "s.sqlite") as store:
-            engine = EvaluationEngine("serial", store=store)
+            engine = EvaluationEngine(store=store)
             engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(4096))
             for rank_by in ("tops_per_watt", "snr_db", "area_f2_per_bit"):
                 fast, fast_total = store.query_page(
@@ -340,7 +337,6 @@ class TestQuery:
                 assert [e.spec.as_tuple() for e in page] == (
                     [e.spec.as_tuple() for e in fast[3:8]]
                 )
-            engine.close()
 
 
 class TestLeftoverScreeningTable:

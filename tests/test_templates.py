@@ -175,8 +175,12 @@ class TestDerivedByteIdentity:
         warm.run(BASE, route_columns=True)
         derived = warm.run(neighbor, route_columns=True)
         assert derived.stats.macros_derived >= 1
-        cold = PhysicalPipeline(cell_library, reuse=False)
+        # The cold reference: a fresh pipeline has no template to derive
+        # from, so it solves every macro of the neighbour from scratch.
+        cold = PhysicalPipeline(cell_library)
         reference = cold.run(neighbor, route_columns=True)
+        assert reference.stats.macros_built == 3
+        assert reference.stats.macros_derived == 0
         assert _gds_bytes(derived.report.layout, technology, tmp_path, "d") \
             == _gds_bytes(reference.report.layout, technology, tmp_path, "c")
 
@@ -194,7 +198,7 @@ class TestDerivedByteIdentity:
     def test_short_check_catches_planted_violation(
         self, cell_library, technology
     ):
-        pipeline = PhysicalPipeline(cell_library, reuse=False)
+        pipeline = PhysicalPipeline(cell_library)
         cell = pipeline.run(BASE, route_columns=True).report.layout
         assert check_own_level_shorts(technology, cell) == []
         # Plant two overlapping same-layer shapes on different nets.
