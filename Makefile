@@ -35,6 +35,10 @@
 #                          BENCH_template.json
 #   make model-bench-smoke CI-sized vectorized-model benchmark (5x gate, no write)
 #   make model-bench       full vectorized-model benchmark, records BENCH_model.json
+#   make perfbench-smoke   the repository benchmark's own tests, plus short
+#                          explore (both NSGA-II seed groups) and flow runs;
+#                          fails when an output fingerprint differs from
+#                          perfbench/reference.json
 #   make ci                what every PR must pass: tier-1 + the smokes + gates
 #
 # PYTHONPATH is set here so no editable install is needed on CI runners.
@@ -42,7 +46,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke ci
+.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke perfbench-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -95,4 +99,9 @@ model-bench-smoke:
 model-bench:
 	$(PYTHON) benchmarks/bench_model_vectorized.py
 
-ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
+	$(PYTHON) perfbench/run.py --workload explore --seed 1 --seconds 2 --trace 0
+	$(PYTHON) perfbench/run.py --workload flow --seed 1 --seconds 2
+
+ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke perfbench-smoke

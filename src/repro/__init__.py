@@ -83,7 +83,7 @@ from repro.sim.montecarlo import MonteCarloSnr
 from repro.store import CampaignResult, ResultStore
 from repro.technology.tech import Technology, generic28
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     # The typed public API (the supported entry point).

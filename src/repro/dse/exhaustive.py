@@ -33,9 +33,9 @@ def evaluate_all(
 
     The grid is built directly as a :class:`~repro.arch.batch.SpecBatch`
     (meshgrid-style, no intermediate spec lists) and submitted to the
-    evaluation engine as one array batch, so a ``thread``/``process``
-    engine parallelises it and repeat calls (e.g. the sensitivity
-    analyzer's perturbed sweeps) are served from the shared cache.
+    evaluation engine as one array batch, computed inline with one
+    vectorized model call; repeat calls (e.g. the sensitivity analyzer's
+    perturbed sweeps) are served from the shared cache.
 
     Args:
         batch: a pre-built grid to evaluate instead of enumerating one —

@@ -77,27 +77,30 @@ def pareto_designs_from_population(problem, population) -> List[EvaluatedDesign]
     """Distil a final NSGA-II population into the evaluated Pareto set.
 
     Keeps the feasible individuals, deduplicates them by decoded design
-    point, re-filters to the non-dominated subset and sorts by spec tuple —
-    the canonical reduction shared by :class:`_ExplorerCore` and the
-    campaign manager, so an interrupted-and-resumed campaign reports the
-    exact set an uninterrupted exploration would.
+    point, evaluates the unique points as one engine batch, re-filters to
+    the non-dominated subset and sorts by spec tuple — the canonical
+    reduction shared by :class:`_ExplorerCore` and the campaign manager,
+    so an interrupted-and-resumed campaign reports the exact set an
+    uninterrupted exploration would.
     """
     array_size = problem.array_size
-    unique: Dict[tuple, EvaluatedDesign] = {}
+    unique: Dict[tuple, ACIMDesignSpec] = {}
     for individual in population:
         if not individual.feasible:
             continue
         spec = problem.decode(individual.genome)
-        if not spec.is_feasible(array_size):
-            continue
-        if spec.as_tuple() in unique:
-            continue
-        unique[spec.as_tuple()] = problem.evaluated_design(individual.genome)
-    designs = list(unique.values())
-    if not designs:
+        if spec.is_feasible(array_size):
+            unique.setdefault(spec.as_tuple(), spec)
+    if not unique:
         raise OptimizationError(
             f"exploration found no feasible designs for array size {array_size}"
         )
+    specs = list(unique.values())
+    metrics_list = problem.engine.evaluate_specs(problem.estimator, specs)
+    designs = [
+        EvaluatedDesign(spec, metrics, metrics.objectives())
+        for spec, metrics in zip(specs, metrics_list)
+    ]
     # Re-filter to the non-dominated subset after deduplication.
     front = pareto_front([design.objectives for design in designs])
     pareto_set = [designs[i] for i in front]

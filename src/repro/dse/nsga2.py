@@ -21,13 +21,12 @@ addition to the ACIM problem.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.errors import OptimizationError
-from repro.dse.pareto import crowding_distance, non_dominated_sort
+from repro.dse.pareto import crowding_distance, non_dominated_sort, objective_array
 from repro.obs import get_tracer
 
 Genome = TypeVar("Genome")
@@ -327,13 +326,13 @@ class NSGA2(Generic[Genome]):
         infeasible = [ind for ind in population if not ind.feasible]
         next_rank = 0
         if feasible:
-            fronts = non_dominated_sort([ind.objectives for ind in feasible])
+            objectives = objective_array([ind.objectives for ind in feasible])
+            fronts = non_dominated_sort(objectives)
             for front_rank, front in enumerate(fronts):
-                members = [feasible[i] for i in front]
-                distances = crowding_distance([m.objectives for m in members])
-                for member, distance in zip(members, distances):
-                    member.rank = front_rank
-                    member.crowding = distance
+                distances = crowding_distance(objectives[front])
+                for i, distance in zip(front, distances):
+                    feasible[i].rank = front_rank
+                    feasible[i].crowding = distance
             next_rank = len(fronts)
         # Infeasible individuals come after every feasible front, ordered by
         # total violation (Deb's constraint-domination).

@@ -1,9 +1,13 @@
 """Pareto-dominance primitives (paper section 2.2).
 
-All functions operate on plain sequences of objective vectors in a
-*minimisation* context, matching the paper's Equation 1: ``u`` dominates
-``v`` when it is no worse in every objective and strictly better in at
-least one.
+All functions take objective vectors — a sequence of equal-length
+vectors or an ``(N, M)`` array — in a *minimisation* context, matching the
+paper's Equation 1: ``u`` dominates ``v`` when it is no worse in every
+objective and strictly better in at least one.  Objectives must not be
+NaN.  The set-level kernels are NumPy array code whose outputs (front
+lists and their order, crowding floats) are identical to the classic
+pairwise loops; ragged or non-2-D input raises
+:class:`~repro.errors.OptimizationError`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import OptimizationError
+
+#: Largest number of dominator rows compared at once: the kernels' extra
+#: memory is a few ``(_BLOCK_ROWS, N)`` boolean buffers.
+_BLOCK_ROWS = 1024
 
 
 def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
@@ -29,129 +37,155 @@ def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
     return at_least_one_better
 
 
-def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:
-    """Indices of the non-dominated points in ``points``.
+def pareto_front(points) -> List[int]:
+    """Ascending indices of the non-dominated points in ``points``.
 
     Duplicated objective vectors are all retained (none dominates another).
     """
-    indices: List[int] = []
-    for i, candidate in enumerate(points):
-        dominated = False
-        for j, other in enumerate(points):
-            if i != j and dominates(other, candidate):
-                dominated = True
-                break
-        if not dominated:
-            indices.append(i)
-    return indices
+    return np.flatnonzero(pareto_front_mask(points)).tolist()
 
 
 def pareto_front_mask(points) -> np.ndarray:
     """Boolean mask of the non-dominated rows of an ``(N, M)`` array.
 
-    Vectorized counterpart of :func:`pareto_front` for large sets (tens of
-    thousands of points, where the pairwise loop is prohibitive).  Points
-    are visited in lexicographic order — a dominator always sorts strictly
-    before anything it dominates — and each is compared against the
-    running non-dominated archive only, which transitivity makes
-    sufficient.  Duplicated rows are all retained, matching
-    :func:`pareto_front`.
+    Points are visited in lexicographic order — a dominator always sorts
+    strictly before anything it dominates — in blocks of at most
+    :data:`_BLOCK_ROWS` rows.  Each block's rows that are still undominated
+    are compared against every undominated row from the block onwards,
+    which transitivity makes sufficient: a dominated point is always
+    dominated by some non-dominated one.  The cost is O(N·F·M) for a front
+    of F points, and duplicated rows are all retained.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise OptimizationError("points must be a 2-D objective array")
-    n = pts.shape[0]
+    columns, n = _objective_columns(points)
     keep = np.ones(n, dtype=bool)
-    if n <= 1:
+    if n <= 1 or not len(columns):
         return keep
-    order = np.lexsort(pts.T[::-1])
-    ranked = pts[order]
-    archive = np.empty_like(ranked)
-    archive[0] = ranked[0]
-    archive_size = 1
-    keep_ranked = np.ones(n, dtype=bool)
-    for j in range(1, n):
-        candidate = ranked[j]
-        front = archive[:archive_size]
-        no_worse = front <= candidate
-        dominated = bool(np.any(
-            np.all(no_worse, axis=1) & np.any(front < candidate, axis=1)
-        ))
-        if dominated:
-            keep_ranked[j] = False
-        else:
-            archive[archive_size] = candidate
-            archive_size += 1
-    keep[order] = keep_ranked
+    order = np.lexsort(columns[::-1])
+    ranked = columns[:, order]
+    alive = np.ones(n, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = start + np.flatnonzero(alive[start:start + _BLOCK_ROWS])
+        targets = start + np.flatnonzero(alive[start:])
+        dominated = _dominance(ranked, rows, targets).any(axis=0)
+        alive[targets[dominated]] = False
+    keep[order] = alive
     return keep
 
 
-def non_dominated_sort(points: Sequence[Sequence[float]]) -> List[List[int]]:
+def non_dominated_sort(points) -> List[List[int]]:
     """Fast non-dominated sorting (Deb et al., NSGA-II).
 
     Returns fronts as lists of indices; front 0 is the Pareto front of the
     whole population, front 1 the Pareto front of the remainder, and so on.
+
+    Dominance counts are built in blocks of at most :data:`_BLOCK_ROWS`
+    rows, so extra memory is O(_BLOCK_ROWS·N) and no N×N matrix is kept.
+    Each front is then peeled by recomputing only its own rows against the
+    unranked points.  The order within a front is the classic algorithm's:
+    a point joins the next front when its last dominator in the current
+    front is processed, and points released by the same dominator follow
+    in ascending index — hence one ``lexsort`` on (position of the last
+    current-front dominator, index).
     """
-    n = len(points)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: List[List[int]] = [[]]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(points[i], points[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(points[j], points[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    for i in range(n):
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # the last front is always empty
+    columns, n = _objective_columns(points)
+    if n == 0:
+        return []
+    everyone = np.arange(n)
+    count = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = everyone[start:start + _BLOCK_ROWS]
+        count += np.count_nonzero(_dominance(columns, rows, everyone), axis=0)
+    fronts: List[List[int]] = []
+    unranked = np.ones(n, dtype=bool)
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        fronts.append(front.tolist())
+        unranked[front] = False
+        rest = np.flatnonzero(unranked)
+        if not rest.size:
+            break
+        last_dominator = np.zeros(rest.size, dtype=np.int64)
+        for start in range(0, front.size, _BLOCK_ROWS):
+            dom = _dominance(columns, front[start:start + _BLOCK_ROWS], rest)
+            count[rest] -= np.count_nonzero(dom, axis=0)
+            last_in_block = start + len(dom) - 1 - np.argmax(dom[::-1], axis=0)
+            np.copyto(last_dominator, last_in_block, where=dom.any(axis=0))
+        released = count[rest] == 0
+        front = rest[released]
+        front = front[np.lexsort((front, last_dominator[released]))]
     return fronts
 
 
-def crowding_distance(points: Sequence[Sequence[float]]) -> List[float]:
+def crowding_distance(points) -> List[float]:
     """Crowding distance of each point within one front (NSGA-II).
 
     Boundary points of every objective get infinite distance so they are
-    always preferred, preserving the spread of the front.
+    always preferred, preserving the spread of the front.  Objectives are
+    visited in order and each interior point gets one
+    ``(next - previous) / span`` term per objective while its distance is
+    still finite.
     """
-    n = len(points)
-    if n == 0:
-        return []
+    columns, n = _objective_columns(points)
     if n <= 2:
         return [math.inf] * n
-    num_objectives = len(points[0])
-    distance = [0.0] * n
-    for m in range(num_objectives):
-        order = sorted(range(n), key=lambda i: points[i][m])
-        low, high = points[order[0]][m], points[order[-1]][m]
-        distance[order[0]] = math.inf
-        distance[order[-1]] = math.inf
-        span = high - low
+    distance = np.zeros(n)
+    for values in columns:
+        order = np.argsort(values, kind="stable")
+        distance[order[0]] = distance[order[-1]] = math.inf
+        ranked = values[order]
+        span = ranked[-1] - ranked[0]
         if span == 0:
             continue
-        for position in range(1, n - 1):
-            i = order[position]
-            if math.isinf(distance[i]):
-                continue
-            previous_value = points[order[position - 1]][m]
-            next_value = points[order[position + 1]][m]
-            distance[i] += (next_value - previous_value) / span
-    return distance
+        interior = order[1:-1]
+        gaps = (ranked[2:] - ranked[:-2]) / span
+        finite = ~np.isinf(distance[interior])
+        distance[interior[finite]] += gaps[finite]
+    return distance.tolist()
+
+
+def objective_array(points) -> np.ndarray:
+    """``points`` as a validated ``(N, M)`` float array.
+
+    Raises :class:`~repro.errors.OptimizationError` on ragged, non-numeric
+    or non-2-D input; an empty sequence becomes a ``(0, 0)`` array.
+    """
+    try:
+        array = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise OptimizationError(
+            f"objective vectors must form an (N, M) array: {error}"
+        ) from None
+    if array.ndim == 1 and array.size == 0:
+        return array.reshape(0, 0)
+    if array.ndim != 2:
+        raise OptimizationError("points must be a 2-D objective array")
+    return array
+
+
+def _objective_columns(points) -> Tuple[np.ndarray, int]:
+    """``points`` as contiguous ``(M, N)`` objective columns, and N."""
+    array = objective_array(points)
+    return np.ascontiguousarray(array.T), array.shape[0]
+
+
+def _dominance(columns: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``dom[a, b]``: point ``rows[a]`` Pareto-dominates point ``targets[b]``.
+
+    Built one objective at a time into ``(len(rows), len(targets))``
+    boolean buffers; broadcasting all objectives at once (an N×N×M
+    temporary) is several times slower.
+    """
+    shape = (rows.size, targets.size)
+    no_worse = np.ones(shape, dtype=bool)
+    better = np.zeros(shape, dtype=bool)
+    scratch = np.empty(shape, dtype=bool)
+    for values in columns:
+        mine = values[rows][:, None]
+        theirs = values[targets]
+        no_worse &= np.less_equal(mine, theirs, out=scratch)
+        better |= np.less(mine, theirs, out=scratch)
+    no_worse &= better
+    return no_worse
 
 
 def hypervolume_2d(

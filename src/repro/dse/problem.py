@@ -201,7 +201,11 @@ class ACIMDesignProblem:
 
     @staticmethod
     def _violation_array(h: np.ndarray, l: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_violation` over decoded genome columns."""
+        """Total Equation-12 constraint violation of decoded genome columns.
+
+        ``L - H`` when ``L > H``, plus 1 when ``L`` does not divide ``H``,
+        else the ``2^B_ADC - H/L`` deficit of the CDAC grouping.
+        """
         violation = np.where(l > h, (l - h).astype(float), 0.0)
         divides = (h % l) == 0
         deficit = (1 << np.clip(b, 0, 62)) - h // l
@@ -238,31 +242,6 @@ class ACIMDesignProblem:
         return (height_index, local_index, adc_bits)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _violation(self, spec: ACIMDesignSpec) -> float:
-        """Total constraint violation of the Equation-12 constraints."""
-        violation = 0.0
-        if spec.local_array_size > spec.height:
-            violation += float(spec.local_array_size - spec.height)
-        if spec.height % spec.local_array_size != 0:
-            violation += 1.0
-        else:
-            deficit = 2 ** spec.adc_bits - spec.local_arrays_per_column
-            if deficit > 0:
-                violation += float(deficit)
-        return violation
-
-    def _evaluate_spec(self, spec: ACIMDesignSpec) -> ACIMMetrics:
-        # Routed through the engine so the metrics land in the shared bounded
-        # cache and survive across problem instances and explorer runs.
-        return self.engine.evaluate_specs(self.estimator, [spec])[0]
-
-    def evaluated_design(self, genome: Genome) -> EvaluatedDesign:
-        """Full evaluation record of a (feasible) genome."""
-        spec = self.decode(genome)
-        spec.validate(self.array_size)
-        metrics = self._evaluate_spec(spec)
-        return EvaluatedDesign(spec=spec, metrics=metrics, objectives=metrics.objectives())
 
     def feasible_batch(self) -> SpecBatch:
         """Every feasible design point of this problem instance, as arrays.

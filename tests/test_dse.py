@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import pareto_reference
 from repro.errors import OptimizationError
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse import (
@@ -298,7 +299,7 @@ class TestParetoFrontMask:
         # as the O(n^2) reference keeps them.
         points += points[:20]
         mask = pareto_front_mask(points)
-        reference = set(pareto_front(points))
+        reference = set(pareto_reference.pareto_front(points))
         assert set(np.flatnonzero(mask).tolist()) == reference
 
     def test_degenerate_inputs(self):
