@@ -3,14 +3,15 @@
 Exercises the observability layer end to end (the CI ``make trace-smoke``
 target):
 
-1. run a tiny flow through the real CLI wrapped in ``repro trace``,
+1. run a tiny routed flow through the real CLI wrapped in ``repro trace``,
    exporting a Chrome ``trace_event`` file;
 2. assert the file parses as the Chrome trace format (the document
    Perfetto / chrome://tracing loads);
 3. assert the trace nests spans from at least three layers — the API
-   root span, engine batch spans, per-chunk evaluation spans
-   and physical-pipeline stage spans — and that every parent id resolves
-   inside the file;
+   root span, engine batch spans, per-chunk evaluation spans and the
+   ``physical.netlist``, ``physical.routing`` and ``physical.layout``
+   stage spans by name — and that every parent id resolves inside the
+   file;
 4. assert timestamps are sane (non-negative durations, start <= end).
 
 Exit code 0 means a ``repro trace``-wrapped campaign produces a trace a
@@ -34,6 +35,7 @@ def run() -> int:
             "trace", "--trace-out", str(trace_path), "--",
             "flow", "--array-size", "256", "--population", "16",
             "--generations", "4", "--seed", "1", "--max-layouts", "1",
+            "--route",
             "--out", str(Path(tmp) / "out"),
         ])
         if exit_code != 0:
@@ -58,9 +60,10 @@ def run() -> int:
             "api layer": any(name.startswith("api.") for name in names),
             "engine batch": "engine.evaluate_specs" in names,
             "chunk evaluation": "engine.chunk" in names,
-            "physical pipeline": any(
-                name.startswith("physical.") for name in names
-            ),
+            # Every stage the flow runs keeps its own span.
+            "physical.netlist stage": "physical.netlist" in names,
+            "physical.routing stage": "physical.routing" in names,
+            "physical.layout stage": "physical.layout" in names,
         }
         missing = [layer for layer, seen in required_layers.items() if not seen]
         if missing:
@@ -82,7 +85,8 @@ def run() -> int:
         print(
             f"OK: {len(events)} spans across {len(names)} names, "
             f"{roots} roots, all parents resolve "
-            f"(layers: api + engine batch + chunk + physical stages)"
+            f"(layers: api + engine batch + chunk + physical netlist, "
+            f"routing and layout stages)"
         )
     return 0
 

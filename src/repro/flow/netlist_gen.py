@@ -5,8 +5,8 @@ The hierarchical netlist construction (paper Figure 4, middle) lives in
 the historical :class:`TemplateNetlistGenerator` front door as a thin
 driver for single-design call sites.  Generation runs through a
 :class:`~repro.physical.pipeline.PhysicalPipeline` — a shared one, or a
-private fresh one — so repeated generations of the same spec are served
-from the netlist artifact cache.
+private fresh one.  The netlist stage is not memoized: every call builds
+a fresh netlist.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ A :class:`Circuit` is a subcircuit definition (equivalent to a SPICE
 objects, child :class:`Instance` objects referring to other circuits, and
 :class:`Net` objects.  Pins declare the circuit's external interface.
 
-The template-based ACIM netlist generator (:mod:`repro.flow.netlist_gen`)
-builds the full macro out of these objects, and the hierarchical placer
-mirrors this hierarchy when it builds the layout.
+The template-based ACIM netlist builder
+(:mod:`repro.physical.netlist_builder`) builds the full macro out of these
+objects, and the hierarchical placer mirrors this hierarchy when it builds
+the layout.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Instance:
 
     def is_fully_connected(self) -> bool:
         """True when every pin of the referenced circuit is bound."""
-        return all(pin.name in self.connections for pin in self.reference.pins)
+        return self.reference._pin_names.keys() <= self.connections.keys()
 
 
 class Circuit:
@@ -218,16 +219,55 @@ class Circuit:
             connections: optional mapping from child pin names to parent nets;
                 the parent nets are created implicitly.
         """
-        if name in self._instances:
-            raise NetlistError(f"circuit {self.name!r}: duplicate instance {name!r}")
+        return self.add_instances(reference, [(name, connections or {})])[0]
+
+    def add_instances(
+        self,
+        reference: "Circuit",
+        entries: Iterable[Tuple[str, Dict[str, str]]],
+    ) -> List[Instance]:
+        """Instantiate ``reference`` once per ``(name, connections)`` entry.
+
+        The bulk form of :meth:`add_instance` for the W identical columns of
+        a macro.  The per-pin work runs in C: each map's pin set is checked
+        against the reference's pins with one subset test, and parent nets
+        are looked up in one pass and created in first-use order only when
+        some are missing.  Every entry is checked before any is registered,
+        so a bad entry leaves the circuit unchanged.  Each instance owns a
+        copy of its map.
+
+        Raises:
+            NetlistError: on a duplicate or self-instantiation, or when a
+                map names a pin ``reference`` does not declare (the first
+                such pin in map order is reported).
+        """
         if reference is self:
             raise NetlistError(f"circuit {self.name!r} cannot instantiate itself")
-        instance = Instance(name, reference)
-        for pin_name, net_name in (connections or {}).items():
-            instance.connect(pin_name, net_name)
-            self.add_net(net_name)
-        self._instances[name] = instance
-        return instance
+        pins = reference._pin_names.keys()
+        instances: List[Instance] = []
+        names = set()
+        for name, connections in entries:
+            if name in self._instances or name in names:
+                raise NetlistError(
+                    f"circuit {self.name!r}: duplicate instance {name!r}"
+                )
+            if not connections.keys() <= pins:
+                bad = next(pin for pin in connections if pin not in pins)
+                raise NetlistError(
+                    f"instance {name!r}: circuit {reference.name!r} "
+                    f"has no pin {bad!r}"
+                )
+            names.add(name)
+            instances.append(Instance(name, reference, dict(connections)))
+        nets = self._nets
+        for instance in instances:
+            self._instances[instance.name] = instance
+            net_names = instance.connections.values()
+            if not all(map(nets.__contains__, net_names)):
+                for net_name in net_names:
+                    if net_name not in nets:
+                        nets[net_name] = Net(net_name)
+        return instances
 
     def instance(self, name: str) -> Instance:
         """Return the child instance called ``name``."""

@@ -114,11 +114,16 @@ def _write_subckt(circuit: Circuit) -> List[str]:
     lines = [f".SUBCKT {circuit.name} {pin_names}".rstrip()]
     for device in circuit.devices:
         lines.append(_device_card(device))
+    # Circuit names are unique in the hierarchy (see _bottom_up), so each
+    # reference's pin order is read once per subcircuit.
+    pin_orders: Dict[str, List[str]] = {}
     for instance in circuit.instances:
-        nets = " ".join(
-            instance.connections[pin.name] for pin in instance.reference.pins
-        )
-        lines.append(f"X{instance.name} {nets} {instance.reference.name}")
+        reference = instance.reference
+        order = pin_orders.get(reference.name)
+        if order is None:
+            order = pin_orders[reference.name] = [pin.name for pin in reference.pins]
+        nets = " ".join(map(instance.connections.__getitem__, order))
+        lines.append(f"X{instance.name} {nets} {reference.name}")
     lines.append(f".ENDS {circuit.name}")
     return lines
 
@@ -185,21 +190,22 @@ def parse_spice(text: str) -> Dict[str, Circuit]:
     if current is not None:
         raise NetlistError(f"unterminated .SUBCKT {current.name!r}")
 
+    pin_orders: Dict[str, List[str]] = {}
     for parent, inst_name, nets, ref_name in pending_instances:
         if ref_name not in circuits:
             raise NetlistError(
                 f"instance {inst_name!r} references undefined subcircuit {ref_name!r}"
             )
         reference = circuits[ref_name]
-        if len(nets) != len(reference.pins):
+        pin_names = pin_orders.get(ref_name)
+        if pin_names is None:
+            pin_names = pin_orders[ref_name] = [pin.name for pin in reference.pins]
+        if len(nets) != len(pin_names):
             raise NetlistError(
                 f"instance {inst_name!r}: {len(nets)} nets for "
-                f"{len(reference.pins)} pins of {ref_name!r}"
+                f"{len(pin_names)} pins of {ref_name!r}"
             )
-        connections = {
-            pin.name: net for pin, net in zip(reference.pins, nets)
-        }
-        parent.add_instance(inst_name, reference, connections)
+        parent.add_instance(inst_name, reference, dict(zip(pin_names, nets)))
 
     return circuits
 

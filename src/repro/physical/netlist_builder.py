@@ -220,6 +220,14 @@ class NetlistBuilder:
                 "VDD": "VDD",
                 "VSS": "VSS",
             })
+        # Every column binds its row lines to the same-named macro nets:
+        # build that identity part of the map once and merge it into each
+        # column's own map.
+        row_lines = {}
+        for row in range(spec.height):
+            row_lines[f"RWL{row}"] = f"RWL{row}"
+            row_lines[f"WL{row}"] = f"WL{row}"
+        columns = []
         for col in range(spec.width):
             connections = {
                 "BL": f"BL{col}",
@@ -232,9 +240,8 @@ class NetlistBuilder:
                 "VDD": "VDD",
                 "VSS": "VSS",
             }
-            for row in range(spec.height):
-                connections[f"RWL{row}"] = f"RWL{row}"
-                connections[f"WL{row}"] = f"WL{row}"
-            macro.add_instance(f"COL{col}", column, connections)
+            connections.update(row_lines)
+            columns.append((f"COL{col}", connections))
+        macro.add_instances(column, columns)
         macro.validate()
         return macro

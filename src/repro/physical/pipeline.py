@@ -5,9 +5,11 @@ spec through an explicit stage graph::
 
     netlist -> placement -> routing -> layout -> export
 
-Every stage consumes and produces typed artifacts that are
+The placement, routing and layout stages produce solved macros that are
 content-addressed by the SHA-256 of (sub-spec, technology/library
 fingerprint, stage parameters) — see :mod:`repro.physical.artifacts`.
+The netlist stage is not memoized: it rebuilds the macro netlist on
+every run, one unit of work per column template.
 The placement and routing stages run *per macro*, bottom-up (the
 paper's Figure-7 strategy): the local SRAM array is placed and routed
 once per unique ``L``, the ACIM column once per unique ``(H, L,
@@ -42,7 +44,7 @@ from repro.layout.geometry import Rect, Transform
 from repro.layout.layout import LayoutCell
 from repro.netlist.circuit import Circuit
 from repro.obs import get_tracer
-from repro.physical.artifacts import PipelineStats, artifact_digest
+from repro.physical.artifacts import PipelineStats
 from repro.physical.macro_library import MacroLibrary, MacroRecord
 from repro.physical.netlist_builder import NetlistBuilder
 from repro.physical.templates import MacroTemplate
@@ -152,7 +154,6 @@ class PhysicalPipeline:
         )
         self.macro_library = MacroLibrary(library, store=store)
         self.netlist_builder = NetlistBuilder(library)
-        self._netlist_cache: Dict[str, Circuit] = {}
         self.stats = PipelineStats()
         self.metrics = metrics
 
@@ -198,17 +199,11 @@ class PhysicalPipeline:
     # -- stage: netlist ----------------------------------------------------------------
 
     def _netlist_stage(self, spec: ACIMDesignSpec) -> Circuit:
-        digest = artifact_digest("netlist", [
-            self.macro_library.fingerprint(), list(spec.as_tuple()),
-        ])
+        # Not memoized: a rebuild checks each column template's pin set
+        # once, so it costs a few milliseconds, while a cache would keep
+        # every distinct spec's netlist for the pipeline's lifetime.
         with self._timed("netlist"):
-            cached = self._netlist_cache.get(digest)
-            if cached is not None:
-                self.stats.stage("netlist").cache_hits += 1
-                return cached
-            netlist = self.netlist_builder.build(spec)
-            self._netlist_cache[digest] = netlist
-            return netlist
+            return self.netlist_builder.build(spec)
 
     # -- stages: placement -> routing -> layout ----------------------------------------
 
@@ -283,10 +278,6 @@ class PhysicalPipeline:
         )
         with self._timed("layout"):
             macro = self._build_macro(spec, column_record.layout)
-            bbox = macro.bounding_box()
-            if bbox is None:
-                raise FlowError("generated macro layout is empty")
-            macro.boundary = bbox
         totals = {
             "routed": local_record.routed_nets + column_record.routed_nets,
             "failed": local_record.failed_nets + column_record.failed_nets,
@@ -528,16 +519,18 @@ class PhysicalPipeline:
         bottom_row_height = output_buffer.height
 
         # Input buffers: one per row, stacked on the left edge.
-        for row in range(spec.height):
+        boxes = [
             macro.add_instance(
                 f"IBUF{row}", input_buffer,
                 Transform(0, bottom_row_height + row * input_buffer.height),
-            )
+            ).bounding_box()
+            for row in range(spec.height)
+        ]
         # Columns side by side to the right of the buffer column: the
         # solved column macro consumed as abutted instances (the positions
         # a RowTemplate over equal-width cells produces), with the
         # placer's overlap guard active.
-        self.placer.place_macro_instances(macro, [
+        boxes += self.placer.place_macro_instances(macro, [
             MacroPlacement(
                 f"COL{col}", column,
                 Transform(
@@ -546,26 +539,31 @@ class PhysicalPipeline:
                 ),
             )
             for col in range(spec.width)
-        ])
+        ]).values()
         # Output buffers under each column.
-        for col in range(spec.width):
+        boxes += [
             macro.add_instance(
                 f"OBUF{col}", output_buffer,
                 Transform(buffer_column_width + col * column_bbox.width, 0),
-            )
-        bbox = macro.bounding_box()
+            ).bounding_box()
+            for col in range(spec.width)
+        ]
+        bbox = Rect.bounding(box for box in boxes if box is not None)
         if bbox is None:
             raise FlowError("macro layout is empty")
         # Pre-defined tracks: power stripes and SAR control lines across the
         # full macro width (the paper's critical-net tracks).
         power_plan = power_track_plan(bbox, self.technology, layer="M5")
-        power_plan.realize(macro)
+        tracks = power_plan.realize(macro)
         control_plan = sar_control_track_plan(
             bbox, self.technology, spec.adc_bits, layer="M3",
             start_y=bbox.y_lo + bottom_row_height // 2,
         )
-        control_plan.realize(macro)
+        tracks += control_plan.realize(macro)
         macro.add_shape("PRBOUND", bbox)
+        # The placed boxes and the track shapes are the macro's whole
+        # content, so their union is its PR boundary.
+        macro.boundary = Rect.bounding([bbox, *tracks])
         return macro
 
     # -- stage: export -----------------------------------------------------------------

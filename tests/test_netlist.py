@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch.spec import ACIMDesignSpec
 from repro.errors import NetlistError
 from repro.netlist import (
     Capacitor,
@@ -22,6 +23,7 @@ from repro.netlist import (
 )
 from repro.netlist.spice import format_si, parse_si
 from repro.netlist.traversal import total_capacitance, total_transistor_width
+from repro.physical.netlist_builder import NetlistBuilder
 
 
 def _inverter() -> Circuit:
@@ -131,6 +133,96 @@ class TestCircuit:
         parent.add_instance("X1", _inverter(), connections={
             "IN": "a", "OUT": "b", "VDD": "VDD", "VSS": "VSS"})
         assert not parent.is_leaf()
+
+
+class TestBulkInstances:
+    """``add_instances`` keeps every check of one-at-a-time ``add_instance``."""
+
+    FULL = {"IN": "a", "OUT": "b", "VDD": "VDD", "VSS": "VSS"}
+
+    def test_unknown_pin_names_instance_circuit_and_first_bad_pin(self):
+        parent = Circuit("top")
+        entries = [
+            ("X0", dict(self.FULL)),
+            ("X1", {"IN": "a", "NOPE2": "x", "NOPE1": "y"}),
+        ]
+        with pytest.raises(NetlistError) as info:
+            parent.add_instances(_inverter(), entries)
+        message = str(info.value)
+        assert "'X1'" in message and "'inv'" in message
+        assert "'NOPE2'" in message and "NOPE1" not in message
+        # Nothing of the failed call is registered.
+        assert parent.instances == []
+        assert parent.nets == []
+
+    def test_duplicate_names_rejected(self):
+        parent = Circuit("top")
+        child = _inverter()
+        with pytest.raises(NetlistError, match="duplicate instance 'X0'"):
+            parent.add_instances(child, [("X0", {}), ("X0", {})])
+        assert parent.instances == []
+        parent.add_instance("X0", child, dict(self.FULL))
+        with pytest.raises(NetlistError, match="duplicate instance 'X0'"):
+            parent.add_instances(child, [("X1", {}), ("X0", {})])
+        assert [inst.name for inst in parent.instances] == ["X0"]
+
+    def test_self_instantiation_rejected(self):
+        circuit = Circuit("c")
+        with pytest.raises(NetlistError, match="cannot instantiate itself"):
+            circuit.add_instances(circuit, [("X1", {})])
+
+    def test_missing_pins_fail_validate_and_are_listed(self):
+        parent = Circuit("top")
+        parent.add_instances(_inverter(), [
+            ("X0", dict(self.FULL)),
+            ("X1", {"IN": "a", "VDD": "VDD"}),
+        ])
+        assert parent.instance("X0").is_fully_connected()
+        assert not parent.instance("X1").is_fully_connected()
+        with pytest.raises(NetlistError) as info:
+            parent.validate()
+        assert "'X1'" in str(info.value)
+        assert "['OUT', 'VSS']" in str(info.value)
+
+    def test_each_instance_owns_its_connection_map(self):
+        parent = Circuit("top")
+        shared = dict(self.FULL)
+        first, second = parent.add_instances(
+            _inverter(), [("X0", shared), ("X1", shared)]
+        )
+        assert first.connections is not second.connections
+        assert first.connections is not shared
+        first.connect("OUT", "c")
+        assert second.connections["OUT"] == "b"
+        assert shared["OUT"] == "b"
+
+    def test_nets_created_in_first_use_order(self):
+        parent = Circuit("top", pins=[Pin("VDD", PinDirection.SUPPLY)])
+        parent.add_instances(_inverter(), [
+            ("X0", {"IN": "a", "OUT": "b", "VDD": "VDD", "VSS": "VSS"}),
+            ("X1", {"IN": "b", "OUT": "c", "VDD": "VDD", "VSS": "VSS"}),
+        ])
+        assert [net.name for net in parent.nets] == ["VDD", "a", "b", "VSS", "c"]
+        assert parent.net("VDD").is_power
+        assert not parent.net("VSS").is_power
+
+    def test_add_instance_is_a_one_entry_bulk_call(self):
+        one, bulk = Circuit("top"), Circuit("top")
+        child = _inverter()
+        single = one.add_instance("X0", child, dict(self.FULL))
+        (batched,) = bulk.add_instances(child, [("X0", dict(self.FULL))])
+        assert single.connections == batched.connections
+        assert [n.name for n in one.nets] == [n.name for n in bulk.nets]
+        assert write_spice(one) == write_spice(bulk)
+
+    def test_macro_columns_do_not_share_maps(self, cell_library):
+        macro = NetlistBuilder(cell_library).build(
+            ACIMDesignSpec(height=16, width=4, local_array_size=4, adc_bits=2)
+        )
+        maps = [macro.instance(f"COL{col}").connections for col in range(4)]
+        assert len({id(connections) for connections in maps}) == 4
+        maps[0]["RWL0"] = "changed"
+        assert maps[1]["RWL0"] == "RWL0"
 
 
 class TestSpiceFormatting:

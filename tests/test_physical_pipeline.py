@@ -22,6 +22,7 @@ from repro.flow.layout_gen import LayoutGenerator
 from repro.layout.gdsii import write_gds
 from repro.layout.geometry import Rect, Transform
 from repro.layout.layout import LayoutCell
+from repro.netlist.spice import write_spice
 from repro.physical import (
     MACRO_STAGE,
     MacroLibrary,
@@ -171,18 +172,17 @@ class TestPipelineReuse:
             assert result.report.total_wirelength_um == \
                 report_cold.total_wirelength_um
 
-    def test_netlist_stage_caches(self, cell_library):
+    def test_netlist_stage_rebuilds_an_equal_netlist(self, cell_library):
         pipeline = PhysicalPipeline(cell_library)
         first = pipeline.run(SPEC_A, generate_netlist=True, generate_layout=False)
         second = pipeline.run(SPEC_A, generate_netlist=True, generate_layout=False)
-        assert second.netlist is first.netlist
-        assert second.stats.stage("netlist").cache_hits == 1
-        # A fresh pipeline has nothing cached: it builds its own netlist.
-        fresh = PhysicalPipeline(cell_library).run(
-            SPEC_A, generate_netlist=True, generate_layout=False
-        )
-        assert fresh.netlist is not first.netlist
-        assert fresh.stats.stage("netlist").cache_hits == 0
+        # The netlist stage is not memoized: every run builds its own
+        # netlist, and the rebuild writes the same SPICE text.
+        assert second.netlist is not first.netlist
+        assert write_spice(second.netlist) == write_spice(first.netlist)
+        assert first.stats.stage("netlist").cache_hits == 0
+        assert second.stats.stage("netlist").cache_hits == 0
+        assert second.stats.stage("netlist").runs == 1
 
     def test_route_flag_is_part_of_the_macro_key(self, cell_library):
         pipeline = PhysicalPipeline(cell_library)
