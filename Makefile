@@ -35,6 +35,8 @@
 #                          BENCH_template.json
 #   make model-bench-smoke CI-sized vectorized-model benchmark (5x gate, no write)
 #   make model-bench       full vectorized-model benchmark, records BENCH_model.json
+#   make paper-bench-smoke every paper-figure benchmark (benchmarks/bench_*.py
+#                          test functions) once as a plain test, timing off
 #   make perfbench-smoke   the repository benchmark's own tests, plus short
 #                          explore (both NSGA-II seed groups) and flow runs;
 #                          fails when an output fingerprint differs from
@@ -46,7 +48,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke perfbench-smoke ci
+.PHONY: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke serve-bench bench-serve serve-bench-smoke physical-bench physical-bench-smoke template-bench template-bench-smoke model-bench model-bench-smoke paper-bench-smoke perfbench-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -99,9 +101,12 @@ model-bench-smoke:
 model-bench:
 	$(PYTHON) benchmarks/bench_model_vectorized.py
 
+paper-bench-smoke:
+	$(PYTHON) -m pytest -q benchmarks --benchmark-disable
+
 perfbench-smoke:
 	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 	$(PYTHON) perfbench/run.py --workload explore --seed 1 --seconds 2 --trace 0
 	$(PYTHON) perfbench/run.py --workload flow --seed 1 --seconds 2
 
-ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke perfbench-smoke
+ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke paper-bench-smoke perfbench-smoke

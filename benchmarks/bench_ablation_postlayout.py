@@ -13,10 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.spec import ACIMDesignSpec
-from repro.flow.layout_gen import LayoutGenerator
 from repro.flow.report import format_table
 from repro.model.backannotate import BackAnnotator
 from repro.model.estimator import ACIMEstimator
+from repro.physical.pipeline import PhysicalPipeline
 
 from bench_reporting import emit
 
@@ -34,15 +34,15 @@ def test_postlayout_drift_is_small(benchmark, cell_library, technology, spec):
     """Generate + route + extract + back-annotate one column configuration."""
     annotator = BackAnnotator(technology)
 
-    def run_once(generator):
-        layout_report = generator.generate(spec, route_column=True)
+    def run_once(pipeline):
+        layout_report = pipeline.run(spec, route_columns=True).report
         return annotator.annotate(spec, layout_report.layout)
 
-    # A fresh generator per round, built outside the timed call, so every
+    # A fresh pipeline per round, built outside the timed call, so every
     # round solves the layout cold.
     annotation = benchmark.pedantic(
         run_once,
-        setup=lambda: ((LayoutGenerator(cell_library),), {}),
+        setup=lambda: ((PhysicalPipeline(cell_library),), {}),
         rounds=3,
     )
     pre = ACIMEstimator(annotation.pre_layout).evaluate(spec)
@@ -71,11 +71,11 @@ def test_postlayout_drift_is_small(benchmark, cell_library, technology, spec):
 
 def test_postlayout_drift_grows_with_column_height(cell_library, technology):
     """The extracted RBL load grows with the column height, as expected."""
-    generator = LayoutGenerator(cell_library)
+    pipeline = PhysicalPipeline(cell_library)
     annotator = BackAnnotator(technology)
     results = {}
     for spec in (ACIMDesignSpec(64, 8, 8, 3), ACIMDesignSpec(256, 8, 8, 3)):
-        layout_report = generator.generate(spec, route_column=True)
+        layout_report = pipeline.run(spec, route_columns=True).report
         results[spec.height] = annotator.annotate(spec, layout_report.layout)
     short_rbl = results[64].parasitics.net("RBL")
     tall_rbl = results[256].parasitics.net("RBL")

@@ -19,10 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.spec import ACIMDesignSpec
-from repro.flow.layout_gen import LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.flow.report import format_table
 from repro.model.calibration import FIGURE8_REFERENCE
+from repro.physical.pipeline import PhysicalPipeline
 
 from bench_reporting import emit
 
@@ -36,14 +35,15 @@ FIGURE8_CASES = [
 
 @pytest.mark.parametrize("label,spec,paper_tops,paper_f2,paper_w,paper_h",
                          FIGURE8_CASES, ids=["fig8a", "fig8b", "fig8c"])
-def test_fig8_layout_generation(benchmark, cell_library, estimator,
-                                label, spec, paper_tops, paper_f2, paper_w, paper_h):
+def test_fig8_layout_matches_paper(benchmark, cell_library, estimator,
+                                   label, spec, paper_tops, paper_f2, paper_w,
+                                   paper_h):
     """Generate one Figure-8 layout and compare against the published point."""
-    # A fresh generator (and pipeline) per round, built outside the timed
-    # call, so every round solves the design cold.
+    # A fresh pipeline per round, built outside the timed call, so every
+    # round solves the design cold.
     report = benchmark.pedantic(
-        lambda generator: generator.generate(spec, route_column=True),
-        setup=lambda: ((LayoutGenerator(cell_library),), {}),
+        lambda pipeline: pipeline.run(spec, route_columns=True).report,
+        setup=lambda: ((PhysicalPipeline(cell_library),), {}),
         rounds=3,
     )
     metrics = estimator.evaluate(spec)
@@ -72,15 +72,15 @@ def test_fig8_layout_generation(benchmark, cell_library, estimator,
 
 def test_fig8_relative_tradeoffs(benchmark, cell_library, estimator):
     """The qualitative claims of Figure 8 hold between the three layouts."""
-    def generate_all(generator):
+    def generate_all(pipeline):
         return {
-            label: generator.generate(spec, route_column=False)
+            label: pipeline.run(spec, route_columns=False).report
             for label, spec, *_ in FIGURE8_CASES
         }
 
     reports = benchmark.pedantic(
         generate_all,
-        setup=lambda: ((LayoutGenerator(cell_library),), {}),
+        setup=lambda: ((PhysicalPipeline(cell_library),), {}),
         rounds=3,
     )
     metrics = {label: estimator.evaluate(spec) for label, spec, *_ in FIGURE8_CASES}
@@ -108,12 +108,13 @@ def test_fig8_relative_tradeoffs(benchmark, cell_library, estimator):
          format_table(rows))
 
 
-def test_fig8_netlist_generation(benchmark, cell_library):
+def test_fig8_netlist_content(benchmark, cell_library):
     """Netlist generation for the Figure-8(b) macro (16 kb, 128 columns)."""
     spec = ACIMDesignSpec(128, 128, 8, 3)
     macro = benchmark.pedantic(
-        lambda generator: generator.generate(spec),
-        setup=lambda: ((TemplateNetlistGenerator(cell_library),), {}),
+        lambda pipeline: pipeline.run(
+            spec, generate_netlist=True, generate_layout=False).netlist,
+        setup=lambda: ((PhysicalPipeline(cell_library),), {}),
         rounds=3,
     )
     from repro.netlist.traversal import count_leaf_instances

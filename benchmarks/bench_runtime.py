@@ -24,8 +24,8 @@ from repro.arch.spec import ACIMDesignSpec
 # session layer uses) so they stay silent under -W error::DeprecationWarning.
 from repro.dse.explorer import _ExplorerCore as DesignSpaceExplorer
 from repro.dse.nsga2 import NSGA2Config
-from repro.flow.layout_gen import LayoutGenerator
 from repro.flow.report import format_table
+from repro.physical.pipeline import PhysicalPipeline
 
 from bench_reporting import emit
 
@@ -52,14 +52,14 @@ def test_runtime_design_space_exploration(benchmark):
 
 
 @pytest.mark.parametrize("route", [False, True], ids=["floorplan", "routed"])
-def test_runtime_layout_generation(benchmark, cell_library, route):
+def test_runtime_layout_per_solution(benchmark, cell_library, route):
     """Layout generation for one Pareto solution (Figure-8(b) configuration)."""
     spec = ACIMDesignSpec(128, 128, 8, 3)
-    # A fresh generator (and pipeline) per round, built outside the timed
-    # call, so every round solves the design cold.
+    # A fresh pipeline per round, built outside the timed call, so every
+    # round solves the design cold.
     report = benchmark.pedantic(
-        lambda generator: generator.generate(spec, route_column=route),
-        setup=lambda: ((LayoutGenerator(cell_library),), {}),
+        lambda pipeline: pipeline.run(spec, route_columns=route).report,
+        setup=lambda: ((PhysicalPipeline(cell_library),), {}),
         rounds=3,
     )
     emit(f"Runtime — 16 kb layout generation ({'routed' if route else 'floorplan'})",

@@ -20,9 +20,8 @@ from repro.flow.baselines import (
     TraditionalManualFlow,
     flow_comparison_table,
 )
-from repro.flow.layout_gen import LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.flow.report import format_table
+from repro.physical.pipeline import PhysicalPipeline
 
 from bench_reporting import emit
 
@@ -61,19 +60,17 @@ def test_easyacim_automated_design_time(benchmark, cell_library):
     """
     explorer = DesignSpaceExplorer(config=NSGA2Config(
         population_size=40, generations=20, seed=1))
-    def automated_flow_once(netlist_generator, layout_generator):
+    def automated_flow_once(pipeline):
         result = explorer.explore(ARRAY_SIZE)
         spec = result.pareto_set[len(result.pareto_set) // 2].spec
-        netlist = netlist_generator.generate(spec)
-        layout = layout_generator.generate(spec, route_column=False)
-        return result, netlist, layout
+        product = pipeline.run(spec, generate_netlist=True, route_columns=False)
+        return result, product.netlist, product.report
 
-    # Fresh generators per round, built outside the timed call, so every
+    # A fresh pipeline per round, built outside the timed call, so every
     # round generates the netlist and layout cold.
     result, netlist, layout = benchmark.pedantic(
         automated_flow_once,
-        setup=lambda: ((TemplateNetlistGenerator(cell_library),
-                        LayoutGenerator(cell_library)), {}),
+        setup=lambda: ((PhysicalPipeline(cell_library),), {}),
         rounds=3,
     )
     emit(

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Generate the three Figure-8 layouts of the paper (16 kb, B_ADC = 3).
 
-For each of the published design points the script runs the template-based
-netlist generator and the hierarchical placer/router, writes GDSII and DEF
-views, and prints the same annotations the paper puts next to Figure 8
+For each of the published design points the script runs the physical
+pipeline — template-based netlist generation and hierarchical placement and
+routing — writes SPICE, GDSII and DEF views, and prints the same annotations the paper puts next to Figure 8
 (die size, throughput, F^2/bit).
 
 Run with::
@@ -17,10 +17,9 @@ import sys
 from pathlib import Path
 
 from repro import ACIMDesignSpec, ACIMEstimator, default_cell_library, generic28
-from repro.flow.layout_gen import LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.flow.report import format_table
 from repro.netlist.spice import write_spice
+from repro.physical import PhysicalPipeline
 
 FIGURE8_SPECS = {
     "a": ACIMDesignSpec(128, 128, 2, 3),
@@ -42,18 +41,19 @@ def main() -> None:
     technology = generic28()
     library = default_cell_library(technology)
     estimator = ACIMEstimator()
-    netlist_generator = TemplateNetlistGenerator(library)
-    layout_generator = LayoutGenerator(library)
+    # One pipeline for all three designs: macros they share are solved once.
+    pipeline = PhysicalPipeline(library)
 
     rows = []
     for label, spec in FIGURE8_SPECS.items():
         print(f"Generating Figure 8({label}): {spec.describe()} ...")
-        netlist = netlist_generator.generate(spec)
+        product = pipeline.run(
+            spec, generate_netlist=True, route_columns=True,
+            output_dir=str(output_dir))
+        netlist, report = product.netlist, product.report
         spice_path = output_dir / f"{netlist.name}.sp"
         spice_path.write_text(write_spice(netlist))
 
-        report = layout_generator.generate(
-            spec, route_column=True, export=True, output_dir=str(output_dir))
         metrics = estimator.evaluate(spec)
         paper = PAPER_ANNOTATIONS[label]
         rows.append({

@@ -67,7 +67,7 @@ def main() -> int:
         for key in reused.payload["layouts"]:
             spec = ACIMDesignSpec(*json.loads(key))
             cold = PhysicalPipeline(library).run(
-                spec, route_columns=True, export=True,
+                spec, route_columns=True,
                 output_dir=str(tmp_path / "cold"),
             )
             assert cold.stats.macros_built == 3 and not (

@@ -23,12 +23,11 @@ import sys
 from pathlib import Path
 
 from repro import ACIMDesignSpec, ACIMEstimator, default_cell_library, generic28
-from repro.flow.layout_gen import LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.flow.report import format_table
 from repro.flow.testbench import TestbenchGenerator
 from repro.layout.lef_export import write_macro_lef, write_tech_lef
 from repro.model.backannotate import BackAnnotator
+from repro.physical import PhysicalPipeline
 from repro.sim.yield_analysis import MismatchYieldAnalyzer
 
 SPEC = ACIMDesignSpec(128, 8, 8, 3)   # one-column-slice version of Fig. 8(b)
@@ -46,8 +45,10 @@ def main() -> None:
     # 1. Generate and route the macro, extract parasitics, back-annotate.
     # ------------------------------------------------------------------
     print(f"Generating macro for {SPEC.describe()} ...")
-    layout_report = LayoutGenerator(library).generate(
-        SPEC, route_column=True, export=True, output_dir=str(output_dir))
+    product = PhysicalPipeline(library).run(
+        SPEC, generate_netlist=True, route_columns=True,
+        output_dir=str(output_dir))
+    layout_report = product.report
     annotator = BackAnnotator(technology)
     annotation = annotator.annotate(SPEC, layout_report.layout)
     rbl = annotation.parasitics.net("RBL")
@@ -87,7 +88,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Hand-off artefacts: LEF abstract and SPICE testbench.
     # ------------------------------------------------------------------
-    netlist = TemplateNetlistGenerator(library).generate(SPEC)
+    netlist = product.netlist
     testbench_path = output_dir / f"{netlist.name}_tb.sp"
     TestbenchGenerator().write(SPEC, netlist, testbench_path)
     tech_lef = output_dir / "generic28_tech.lef"

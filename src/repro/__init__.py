@@ -43,7 +43,9 @@ The subpackages are usable on their own:
   :mod:`repro.layout`, :mod:`repro.placement`, :mod:`repro.routing` — the
   physical-design substrate,
 * :mod:`repro.physical` — the staged, reuse-aware physical pipeline and
-  the content-addressed macro library (``docs/physical.md``),
+  the content-addressed macro library (``docs/physical.md``);
+  ``PhysicalPipeline(library).run(spec, ...)`` is the one way to build a
+  design's netlist and layout outside a session,
 * :mod:`repro.flow` — the end-to-end flow and the baseline flows,
 * :mod:`repro.apps` — application mapping (CNN / transformer / SNN),
 * :mod:`repro.sota` — published reference designs for the comparison,
@@ -74,8 +76,6 @@ from repro.dse.explorer import ExplorationResult
 from repro.dse.nsga2 import NSGA2Config
 from repro.errors import ReproError
 from repro.flow.controller import FlowInputs, FlowResult
-from repro.flow.layout_gen import LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.cells.library import CellLibrary, default_cell_library
 from repro.model.estimator import ACIMEstimator, ACIMMetrics, ModelParameters
 from repro.physical import MacroLibrary, PhysicalPipeline, PipelineStats
@@ -83,7 +83,7 @@ from repro.sim.montecarlo import MonteCarloSnr
 from repro.store import CampaignResult, ResultStore
 from repro.technology.tech import Technology, generic28
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     # The typed public API (the supported entry point).
@@ -111,8 +111,6 @@ __all__ = [
     "NSGA2Config",
     "FlowInputs",
     "FlowResult",
-    "LayoutGenerator",
-    "TemplateNetlistGenerator",
     "CellLibrary",
     "default_cell_library",
     "ACIMEstimator",

@@ -612,15 +612,17 @@ class Session:
             output_dir = Path(request.output_dir)
             output_dir.mkdir(parents=True, exist_ok=True)
 
-        from repro.flow.netlist_gen import TemplateNetlistGenerator
-        from repro.flow.layout_gen import LayoutGenerator
-
-        # Both generators run on the session pipeline, so repeated layout
-        # requests (and flow runs) share one macro/artifact cache.
+        # One run on the session pipeline, so repeated layout requests
+        # (and flow runs) share one macro/artifact cache.
         physical_baseline = self.pipeline.stats.snapshot()
-        netlist = TemplateNetlistGenerator(
-            self.library, pipeline=self.pipeline
-        ).generate(spec)
+        product = self.pipeline.run(
+            spec,
+            generate_netlist=True,
+            generate_layout=True,
+            route_columns=request.route_columns,
+            output_dir=request.output_dir,
+        )
+        netlist, report = product.netlist, product.report
         if request.spice:
             from repro.netlist.spice import write_spice
 
@@ -633,12 +635,6 @@ class Session:
             tb_path = output_dir / f"{netlist.name}_tb.sp"
             TestbenchGenerator().write(spec, netlist, tb_path)
             files["testbench"] = str(tb_path)
-        report = LayoutGenerator(self.library, pipeline=self.pipeline).generate(
-            spec,
-            route_column=request.route_columns,
-            export=output_dir is not None,
-            output_dir=str(output_dir) if output_dir is not None else None,
-        )
         if report.gds_path:
             files["gds"] = report.gds_path
         if report.def_path:

@@ -5,8 +5,8 @@ the whole pipeline together, mirroring the paper's Figure-4 narrative
 left to right:
 
 1. take the three user inputs — customized cell library, synthesizable
-   architecture (implicit in the generators) and technology files — plus
-   the user-defined array size,
+   architecture (implicit in the physical pipeline) and technology
+   files — plus the user-defined array size,
 2. run the MOGA-based design space explorer to get the Pareto-frontier set
    of (H, W, L, B_ADC) solutions,
 3. apply the user's distillation criteria to keep only the solutions that
@@ -34,18 +34,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import FlowError
-from repro.arch.spec import ACIMDesignSpec
 from repro.cells.library import CellLibrary, default_cell_library
 from repro.dse.distill import DistillationCriteria, distill
 from repro.dse.explorer import ExplorationResult, _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.dse.problem import EvaluatedDesign
 from repro.engine import EvaluationEngine
-from repro.flow.layout_gen import LayoutGenerationReport, LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.model.estimator import ACIMEstimator, ModelParameters
 from repro.netlist.circuit import Circuit
-from repro.physical.pipeline import PhysicalPipeline
+from repro.physical.pipeline import LayoutGenerationReport, PhysicalPipeline
 from repro.store.result_store import ResultStore
 from repro.technology.tech import Technology, generic28
 
@@ -177,12 +174,6 @@ class _FlowCore:
         self.pipeline = inputs.pipeline or PhysicalPipeline(
             self.library, store=inputs.store
         )
-        self.netlist_generator = TemplateNetlistGenerator(
-            self.library, pipeline=self.pipeline
-        )
-        self.layout_generator = LayoutGenerator(
-            self.library, pipeline=self.pipeline
-        )
 
     # -- individual stages -----------------------------------------------------------
 
@@ -196,16 +187,6 @@ class _FlowCore:
             return list(exploration.pareto_set)
         selected = distill(exploration.pareto_set, self.inputs.criteria)
         return selected or list(exploration.pareto_set)
-
-    def generate_netlist(self, spec: ACIMDesignSpec) -> Circuit:
-        """Stage 3: template-based netlist generation for one solution."""
-        return self.netlist_generator.generate(spec)
-
-    def generate_layout(
-        self, spec: ACIMDesignSpec, **kwargs
-    ) -> LayoutGenerationReport:
-        """Stage 4: template-based hierarchical placement and routing."""
-        return self.layout_generator.generate(spec, **kwargs)
 
     # -- end-to-end ----------------------------------------------------------------------
 
@@ -249,7 +230,6 @@ class _FlowCore:
                     generate_netlist=generate_netlists,
                     generate_layout=generate_layouts,
                     route_columns=route_columns,
-                    export=generate_layouts and output_dir is not None,
                     output_dir=output_dir,
                 )
                 if product.netlist is not None:

@@ -16,9 +16,9 @@ from typing import List, Optional, Union
 from repro.arch.architecture import SynthesizableACIM
 from repro.arch.spec import ACIMDesignSpec
 from repro.arch.timing import TimingModel, TimingParameters
-from repro.flow.layout_gen import LayoutGenerationReport
 from repro.model.estimator import ACIMEstimator, ACIMMetrics
 from repro.netlist.circuit import Circuit, PinDirection
+from repro.physical.pipeline import LayoutGenerationReport
 
 
 class DatasheetWriter:

@@ -22,7 +22,6 @@ See ``docs/physical.md`` for the architecture and the reuse knobs.
 """
 
 from repro.physical.artifacts import (
-    ArtifactRecord,
     PIPELINE_STAGES,
     PipelineStats,
     StageStats,
@@ -54,7 +53,6 @@ from repro.physical.templates import (
 )
 
 __all__ = [
-    "ArtifactRecord",
     "PIPELINE_STAGES",
     "PipelineStats",
     "StageStats",

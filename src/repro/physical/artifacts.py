@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 #: Stage names of the physical pipeline, in execution order.
 PIPELINE_STAGES = ("netlist", "placement", "routing", "layout", "export")
@@ -132,21 +132,3 @@ class PipelineStats:
         """Total cache-served stage runs across all stages."""
         return sum(stage.cache_hits for stage in self.stages.values())
 
-
-@dataclass(frozen=True)
-class ArtifactRecord:
-    """Metadata of one persisted artifact, as listed from the store.
-
-    Attributes:
-        digest: content address (SHA-256 of the canonical stage key).
-        stage: producing pipeline stage (``"macro"``, ``"layout"``, ...).
-        key: the decoded identity document.
-        payload: the decoded artifact payload (may be summarized).
-        created_at: UNIX timestamp of the first write.
-    """
-
-    digest: str
-    stage: str
-    key: object
-    payload: Optional[dict]
-    created_at: float

@@ -233,22 +233,18 @@ class MacroLibrary:
 
     # -- template derivation ---------------------------------------------------
 
-    def nearest_template(
+    def _nearest_with_origin(
         self, kind: str, key, exclude_digest: Optional[str] = None
-    ) -> Optional[MacroTemplate]:
+    ) -> Tuple[Optional[MacroTemplate], str]:
         """The cheapest-to-patch solved neighbour of a macro identity.
 
         Looks in the in-memory :class:`TemplateIndex` first and falls back
         to the store's ``template_index`` table (hydrating the candidate
-        macro), mirroring the exact-match ladder.  ``None`` when the kind
-        is not templated or no same-family neighbour exists.
+        macro), mirroring the exact-match ladder.  Returns the template
+        (``None`` when the kind is not templated or no same-family
+        neighbour exists) and where it came from: ``"memory"``,
+        ``"store"`` or ``"none"``.
         """
-        template, _origin = self._nearest_with_origin(kind, key, exclude_digest)
-        return template
-
-    def _nearest_with_origin(
-        self, kind: str, key, exclude_digest: Optional[str] = None
-    ) -> Tuple[Optional[MacroTemplate], str]:
         params = template_params(kind, key)
         family = family_key(kind, key)
         if params is None or family is None:

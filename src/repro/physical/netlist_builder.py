@@ -13,8 +13,8 @@ the synthesizable architecture:
 
 The output is an ordinary :class:`repro.netlist.Circuit`, so it can be
 validated, flattened, counted and exported to SPICE like any other
-circuit.  :class:`~repro.flow.netlist_gen.TemplateNetlistGenerator` is
-the thin flow-facing driver over this builder.
+circuit.  :meth:`repro.physical.pipeline.PhysicalPipeline.run` with
+``generate_netlist=True`` is the entry point that runs this builder.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.arch.spec import ACIMDesignSpec
 from repro.cells.library import CellLibrary, sar_controller_for
 from repro.netlist.circuit import Circuit, Pin, PinDirection
 
-#: Cells the builder instantiates; the driver validates their presence.
+#: Cells the builder instantiates; the builder validates their presence.
 REQUIRED_CELLS: Tuple[str, ...] = (
     "sram8t", "local_compute", "comparator", "sar_dff",
     "cmos_switch", "input_buffer", "output_buffer",

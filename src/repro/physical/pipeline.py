@@ -35,7 +35,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import FlowError
 from repro.arch.spec import ACIMDesignSpec
-from repro.cells.dimensions import CellFootprints
 from repro.cells.library import CellLibrary, sar_controller_for
 from repro.layout.def_export import write_def
 from repro.layout.drc import check_own_level_shorts
@@ -123,8 +122,6 @@ class PhysicalPipeline:
 
     Args:
         library: customized cell library providing leaf netlist/layout views.
-        footprints: cell footprints (defaults to the calibrated area model).
-        routing_pitch: routing-grid pitch in dbu.
         store: optional persistent result store backing the macro cache.
         metrics: optional :class:`~repro.obs.MetricsRegistry` stage
             timings and macro reuse counters are recorded into
@@ -133,24 +130,17 @@ class PhysicalPipeline:
 
     #: Routing layers of the over-cell grid, lowest first.
     ROUTING_LAYERS: Tuple[str, ...] = ("M2", "M3", "M4")
+    #: Pitch of the over-cell routing grid in dbu (part of every macro key).
+    ROUTING_PITCH: int = 200
 
-    def __init__(
-        self,
-        library: CellLibrary,
-        footprints: Optional[CellFootprints] = None,
-        routing_pitch: int = 200,
-        store=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, library: CellLibrary, store=None, metrics=None) -> None:
         self.library = library
         self.technology = library.technology
-        self.footprints = footprints or CellFootprints.from_area_parameters()
-        self.routing_pitch = routing_pitch
         self.placer = HierarchicalPlacer()
         self.router = HierarchicalRouter(
             self.technology,
             routing_layers=self.ROUTING_LAYERS,
-            pitch=routing_pitch,
+            pitch=self.ROUTING_PITCH,
         )
         self.macro_library = MacroLibrary(library, store=store)
         self.netlist_builder = NetlistBuilder(library)
@@ -165,7 +155,6 @@ class PhysicalPipeline:
         generate_netlist: bool = False,
         generate_layout: bool = True,
         route_columns: bool = True,
-        export: bool = False,
         output_dir: Optional[str] = None,
     ) -> PipelineResult:
         """Run the stage graph for one design spec.
@@ -176,8 +165,8 @@ class PhysicalPipeline:
             generate_layout: run placement/routing/layout (and export).
             route_columns: route the local-array and column interconnects
                 with the maze router (disable for floorplan-only runs).
-            export: write GDSII and DEF files (layout stage only).
-            output_dir: directory for the exports.
+            output_dir: directory the layout's GDSII and DEF files are
+                written to; ``None`` keeps the layout in memory only.
         """
         spec.validate()
         baseline = self.stats.snapshot()
@@ -187,7 +176,7 @@ class PhysicalPipeline:
         report = None
         if generate_layout:
             report = self._layout_stages(spec, route_columns)
-            if export:
+            if output_dir is not None:
                 self._export_stage(report, output_dir)
         return PipelineResult(
             spec=spec,
@@ -216,7 +205,7 @@ class PhysicalPipeline:
             {
                 "H": spec.height, "W": spec.width,
                 "L": spec.local_array_size, "B": spec.adc_bits,
-                "route": route, "pitch": self.routing_pitch,
+                "route": route, "pitch": self.ROUTING_PITCH,
                 "layers": list(self.ROUTING_LAYERS),
             },
             lambda: self._solve_top(spec, route),
@@ -251,7 +240,7 @@ class PhysicalPipeline:
             "local_array",
             {
                 "L": spec.local_array_size, "route": route,
-                "pitch": self.routing_pitch,
+                "pitch": self.ROUTING_PITCH,
                 "layers": list(self.ROUTING_LAYERS),
             },
             lambda: self._build_local_array(spec, route),
@@ -265,7 +254,7 @@ class PhysicalPipeline:
             {
                 "H": spec.height, "L": spec.local_array_size,
                 "B": spec.adc_bits, "route": route,
-                "pitch": self.routing_pitch,
+                "pitch": self.ROUTING_PITCH,
                 "layers": list(self.ROUTING_LAYERS),
             },
             lambda: self._build_column(spec, local_record.layout, route),
@@ -568,11 +557,9 @@ class PhysicalPipeline:
 
     # -- stage: export -----------------------------------------------------------------
 
-    def _export_stage(
-        self, report: LayoutGenerationReport, output_dir: Optional[str]
-    ) -> None:
+    def _export_stage(self, report: LayoutGenerationReport, output_dir: str) -> None:
         with self._timed("export"):
-            directory = Path(output_dir or ".")
+            directory = Path(output_dir)
             directory.mkdir(parents=True, exist_ok=True)
             macro = report.layout
             gds_path = directory / f"{macro.name}.gds"

@@ -4,12 +4,12 @@ import pytest
 
 from repro.errors import LayoutError, ModelError
 from repro.arch.spec import ACIMDesignSpec
-from repro.flow.layout_gen import LayoutGenerator
 from repro.layout.extraction import ParasiticExtractor
 from repro.layout.geometry import Rect
 from repro.layout.layout import LayoutCell
 from repro.model.backannotate import BackAnnotator
 from repro.model.estimator import ACIMEstimator
+from repro.physical.pipeline import PhysicalPipeline
 
 
 class TestParasiticExtractor:
@@ -78,7 +78,7 @@ class TestBackAnnotation:
     @pytest.fixture(scope="class")
     def annotated(self, cell_library, technology):
         spec = ACIMDesignSpec(64, 4, 4, 3)
-        report = LayoutGenerator(cell_library).generate(spec, route_column=True)
+        report = PhysicalPipeline(cell_library).run(spec, route_columns=True).report
         annotator = BackAnnotator(technology)
         return annotator.annotate(spec, report.layout)
 
@@ -104,6 +104,6 @@ class TestBackAnnotation:
 
     def test_unrouted_layout_rejected(self, cell_library, technology):
         spec = ACIMDesignSpec(64, 4, 4, 3)
-        report = LayoutGenerator(cell_library).generate(spec, route_column=False)
+        report = PhysicalPipeline(cell_library).run(spec, route_columns=False).report
         with pytest.raises(ModelError):
             BackAnnotator(technology).annotate(spec, report.layout)

@@ -1,8 +1,10 @@
-"""Unit tests for the end-to-end flow (netlist gen, layout gen, controller, baselines)."""
+"""Unit tests for the end-to-end flow (netlist and layout generation through
+the physical pipeline, controller, baselines)."""
 
 import pytest
 
 from repro.errors import FlowError
+from repro.arch.architecture import SynthesizableACIM
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.distill import DistillationCriteria
 from repro.dse.nsga2 import NSGA2Config
@@ -10,8 +12,6 @@ from repro.dse.pareto import pareto_front
 from repro.flow import (
     AutoDCIMBaselineFlow,
     FlowInputs,
-    LayoutGenerator,
-    TemplateNetlistGenerator,
     TraditionalManualFlow,
     design_table,
     flow_comparison_table,
@@ -22,33 +22,37 @@ from repro.flow import (
 from repro.flow.controller import _FlowCore
 from repro.flow.report import csv_lines
 from repro.netlist.traversal import count_leaf_instances, hierarchy_depth
+from repro.physical.pipeline import PhysicalPipeline
 
 
 FAST_NSGA2 = NSGA2Config(population_size=24, generations=10, seed=3)
 
 
+def _netlist(library, spec):
+    return PhysicalPipeline(library).run(
+        spec, generate_netlist=True, generate_layout=False).netlist
+
+
 class TestNetlistGenerator:
     def test_macro_netlist_validates(self, cell_library, small_spec):
-        generator = TemplateNetlistGenerator(cell_library)
-        macro = generator.generate(small_spec)
+        macro = _netlist(cell_library, small_spec)
         macro.validate()
 
     def test_leaf_counts_match_architecture(self, cell_library, small_spec):
-        generator = TemplateNetlistGenerator(cell_library)
-        macro = generator.generate(small_spec)
+        macro = _netlist(cell_library, small_spec)
         counts = count_leaf_instances(macro)
-        expected = generator.expected_instance_counts(small_spec)
+        expected = SynthesizableACIM(small_spec).component_counts()
         for key in ("sram8t", "local_compute", "comparator", "sar_dff",
                     "input_buffer", "output_buffer"):
             assert counts[key] == expected[key], key
 
     def test_hierarchy_depth_is_four(self, cell_library, small_spec):
         # macro -> column -> local array / SAR controller -> leaf cells.
-        macro = TemplateNetlistGenerator(cell_library).generate(small_spec)
+        macro = _netlist(cell_library, small_spec)
         assert hierarchy_depth(macro) == 4
 
     def test_macro_pins_scale_with_dimensions(self, cell_library, small_spec):
-        macro = TemplateNetlistGenerator(cell_library).generate(small_spec)
+        macro = _netlist(cell_library, small_spec)
         pins = {pin.name for pin in macro.pins}
         assert f"XIN{small_spec.height - 1}" in pins
         assert f"DOUT{small_spec.width - 1}" in pins
@@ -56,37 +60,41 @@ class TestNetlistGenerator:
     def test_spice_export_of_macro(self, cell_library, small_spec):
         from repro.netlist.spice import write_spice
 
-        macro = TemplateNetlistGenerator(cell_library).generate(small_spec)
+        macro = _netlist(cell_library, small_spec)
         text = write_spice(macro)
         assert ".SUBCKT sram8t" in text
         assert macro.name in text
 
     def test_different_specs_give_different_column_circuits(self, cell_library):
-        generator = TemplateNetlistGenerator(cell_library)
-        a = generator.generate(ACIMDesignSpec(16, 4, 4, 2))
-        b = generator.generate(ACIMDesignSpec(32, 2, 4, 3))
+        pipeline = PhysicalPipeline(cell_library)
+        a = pipeline.run(ACIMDesignSpec(16, 4, 4, 2), generate_netlist=True,
+                         generate_layout=False).netlist
+        b = pipeline.run(ACIMDesignSpec(32, 2, 4, 3), generate_netlist=True,
+                         generate_layout=False).netlist
         assert a.name != b.name
         counts_a = count_leaf_instances(a)
         counts_b = count_leaf_instances(b)
         assert counts_a["sar_dff"] != counts_b["sar_dff"]
 
     def test_infeasible_spec_rejected(self, cell_library):
-        generator = TemplateNetlistGenerator(cell_library)
+        pipeline = PhysicalPipeline(cell_library)
         with pytest.raises(Exception):
-            generator.generate(ACIMDesignSpec(8, 8, 8, 4))
+            pipeline.run(ACIMDesignSpec(8, 8, 8, 4), generate_netlist=True,
+                         generate_layout=False)
 
 
 class TestLayoutGenerator:
     def test_small_macro_layout(self, cell_library, small_spec):
-        generator = LayoutGenerator(cell_library)
-        report = generator.generate(small_spec, route_column=True)
+        pipeline = PhysicalPipeline(cell_library)
+        report = pipeline.run(small_spec, route_columns=True).report
         assert report.width_um > 0 and report.height_um > 0
         assert report.failed_nets == 0
         assert report.routed_nets >= 3
         assert report.layout.instance_count() >= small_spec.width
 
     def test_layout_area_tracks_area_model(self, cell_library, small_spec, estimator):
-        report = LayoutGenerator(cell_library).generate(small_spec, route_column=False)
+        report = PhysicalPipeline(cell_library).run(
+            small_spec, route_columns=False).report
         modelled = estimator.area_model.area_per_bit_f2(small_spec)
         # The layout adds peripheral buffers, so it is a bit bigger but in
         # the same range as the Equation-10 model.
@@ -96,20 +104,21 @@ class TestLayoutGenerator:
     def test_gds_and_def_export(self, cell_library, small_spec, tmp_path, technology):
         from repro.layout.gdsii import read_gds
 
-        report = LayoutGenerator(cell_library).generate(
-            small_spec, route_column=False, export=True, output_dir=str(tmp_path))
+        report = PhysicalPipeline(cell_library).run(
+            small_spec, route_columns=False, output_dir=str(tmp_path)).report
         assert report.gds_path and report.def_path
         cells = read_gds(report.gds_path, technology)
         assert report.layout.name in cells
 
     def test_larger_l_gives_smaller_layout(self, cell_library):
-        generator = LayoutGenerator(cell_library)
-        small_l = generator.generate(ACIMDesignSpec(32, 4, 2, 2), route_column=False)
-        large_l = generator.generate(ACIMDesignSpec(32, 4, 8, 2), route_column=False)
+        pipeline = PhysicalPipeline(cell_library)
+        small_l = pipeline.run(ACIMDesignSpec(32, 4, 2, 2), route_columns=False).report
+        large_l = pipeline.run(ACIMDesignSpec(32, 4, 8, 2), route_columns=False).report
         assert large_l.area_um2 < small_l.area_um2
 
     def test_report_dictionary(self, cell_library, small_spec):
-        report = LayoutGenerator(cell_library).generate(small_spec, route_column=False)
+        report = PhysicalPipeline(cell_library).run(
+            small_spec, route_columns=False).report
         record = report.as_dict()
         assert record["H"] == small_spec.height
         assert record["failed_nets"] == 0

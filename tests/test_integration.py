@@ -20,12 +20,11 @@ from repro import (
 from repro.flow.controller import _FlowCore
 from repro.dse.distill import DistillationCriteria
 from repro.dse.exhaustive import exhaustive_pareto_front
-from repro.flow.layout_gen import LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.layout.drc import DRCChecker
 from repro.layout.gdsii import read_gds
 from repro.model.calibration import FIGURE8_REFERENCE
 from repro.netlist.traversal import count_leaf_instances
+from repro.physical.pipeline import PhysicalPipeline
 from repro.sim import MonteCarloSnr, NoiseSettings
 
 
@@ -51,7 +50,8 @@ class TestFigure8DesignPoints:
         # Building the full 16 kb netlist is cheap because the hierarchy is
         # shared; verify the leaf counts match the architecture.
         spec = ACIMDesignSpec(128, 128, 8, 3)
-        macro = TemplateNetlistGenerator(cell_library).generate(spec)
+        macro = PhysicalPipeline(cell_library).run(
+            spec, generate_netlist=True, generate_layout=False).netlist
         counts = count_leaf_instances(macro)
         assert counts["sram8t"] == 16384
         assert counts["comparator"] == 128
@@ -61,7 +61,7 @@ class TestFigure8DesignPoints:
         # A 1 kb macro with the Figure-8(b) column structure (H=128, L=8,
         # B=3, W=8): the column height must match the published 131 um.
         spec = ACIMDesignSpec(128, 8, 8, 3)
-        report = LayoutGenerator(cell_library).generate(spec, route_column=False)
+        report = PhysicalPipeline(cell_library).run(spec, route_columns=False).report
         assert report.height_um == pytest.approx(131 + 2.0, rel=0.05)
 
 

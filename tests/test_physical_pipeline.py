@@ -18,7 +18,6 @@ from repro.errors import (
     RoutingError,
 )
 from repro.flow.controller import FlowInputs, _FlowCore
-from repro.flow.layout_gen import LayoutGenerator
 from repro.layout.gdsii import write_gds
 from repro.layout.geometry import Rect, Transform
 from repro.layout.layout import LayoutCell
@@ -192,14 +191,25 @@ class TestPipelineReuse:
         assert floorplan.report.routed_nets == 0
         assert floorplan.stats.macros_built == 3  # no cross-contamination
 
-    def test_layout_generator_is_a_thin_driver(self, cell_library):
-        generator = LayoutGenerator(cell_library)
-        assert len(generator.pipeline.macro_library) == 0  # private, fresh
-        report = generator.generate(SPEC_A, route_column=True)
-        direct = _cold_report(cell_library, SPEC_A)
-        left, right = report.as_dict(), direct.as_dict()
-        left.pop("runtime_s"), right.pop("runtime_s")
-        assert left == right
+    def test_no_output_dir_writes_no_file(
+        self, cell_library, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        result = PhysicalPipeline(cell_library).run(SPEC_A, output_dir=None)
+        assert result.report.gds_path is None
+        assert result.report.def_path is None
+        assert result.stats.stage("export").runs == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_dir_exports_gds_and_def(self, cell_library, tmp_path):
+        out = tmp_path / "nested" / "out"
+        result = PhysicalPipeline(cell_library).run(SPEC_A, output_dir=str(out))
+        assert result.stats.stage("export").runs == 1
+        assert sorted(path.name for path in out.iterdir()) == sorted([
+            f"{result.report.layout.name}.gds",
+            f"{result.report.layout.name}.def",
+        ])
+        assert result.report.gds_path == str(out / f"{result.report.layout.name}.gds")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from repro.dse.sensitivity import (
     perturb_parameters,
 )
 from repro.flow.datasheet import DatasheetWriter
-from repro.flow.layout_gen import LayoutGenerator
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.model.estimator import ModelParameters
+from repro.physical.pipeline import PhysicalPipeline
 
 
 class TestPerturbation:
@@ -104,8 +103,9 @@ class TestDatasheet:
         assert "1:1:2:4" in text
 
     def test_physical_and_interface_sections(self, cell_library):
-        report = LayoutGenerator(cell_library).generate(self.SPEC, route_column=False)
-        netlist = TemplateNetlistGenerator(cell_library).generate(self.SPEC)
+        product = PhysicalPipeline(cell_library).run(
+            self.SPEC, generate_netlist=True, route_columns=False)
+        report, netlist = product.report, product.netlist
         text = DatasheetWriter().render(
             self.SPEC, layout_report=report, netlist=netlist)
         assert "## Physical summary" in text

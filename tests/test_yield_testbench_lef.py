@@ -4,10 +4,10 @@ import pytest
 
 from repro.errors import FlowError, LayoutError, SimulationError
 from repro.arch.spec import ACIMDesignSpec
-from repro.flow.netlist_gen import TemplateNetlistGenerator
 from repro.flow.testbench import TestbenchConfig, TestbenchGenerator
 from repro.layout.lef_export import write_macro_lef, write_tech_lef
 from repro.netlist.spice import parse_spice
+from repro.physical.pipeline import PhysicalPipeline
 from repro.sim.yield_analysis import (
     MismatchYieldAnalyzer,
     yield_across_unit_capacitance,
@@ -65,8 +65,9 @@ class TestYieldAnalysis:
 class TestTestbenchGenerator:
     @pytest.fixture(scope="class")
     def macro(self, cell_library):
-        return TemplateNetlistGenerator(cell_library).generate(
-            ACIMDesignSpec(16, 4, 4, 2))
+        return PhysicalPipeline(cell_library).run(
+            ACIMDesignSpec(16, 4, 4, 2), generate_netlist=True,
+            generate_layout=False).netlist
 
     def test_testbench_contains_required_sections(self, macro):
         spec = ACIMDesignSpec(16, 4, 4, 2)
@@ -133,10 +134,8 @@ class TestLefExport:
         assert "USE GROUND ;" in text
 
     def test_generated_macro_lef(self, technology, cell_library, tmp_path):
-        from repro.flow.layout_gen import LayoutGenerator
-
-        report = LayoutGenerator(cell_library).generate(
-            ACIMDesignSpec(16, 4, 4, 2), route_column=False)
+        report = PhysicalPipeline(cell_library).run(
+            ACIMDesignSpec(16, 4, 4, 2), route_columns=False).report
         text = write_macro_lef(report.layout, technology, tmp_path / "macro.lef")
         assert f"MACRO {report.layout.name}" in text
 
