@@ -40,7 +40,7 @@ from pathlib import Path
 from repro.arch.spec import ACIMDesignSpec
 from repro.cells.library import default_cell_library
 from repro.layout.gdsii import write_gds
-from repro.physical import PhysicalPipeline
+from repro.physical import PhysicalPipeline, PipelineStats
 from repro.store.result_store import ResultStore
 from repro.technology.tech import generic28
 
@@ -115,14 +115,18 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         generate_all(cold, specs)
         cold_s = time.perf_counter() - start
-        cold_stats = cold.stats.as_dict()
+        cold_stats = PipelineStats.from_metrics(
+            cold.metrics.snapshot()
+        ).as_dict()
 
         # 3. Warm reuse: the next flow run / process on the same store.
         warm = PhysicalPipeline(library, store=store)
         start = time.perf_counter()
         warm_layouts = generate_all(warm, specs)
         warm_s = time.perf_counter() - start
-        warm_stats = warm.stats.as_dict()
+        warm_stats = PipelineStats.from_metrics(
+            warm.metrics.snapshot()
+        ).as_dict()
         store.close()
 
         flat_bytes = gds_bytes(flat_layouts, technology, tmp_path, "flat")

@@ -47,7 +47,7 @@ from pathlib import Path
 from repro.arch.spec import ACIMDesignSpec
 from repro.cells.library import default_cell_library
 from repro.layout.gdsii import write_gds
-from repro.physical import PhysicalPipeline
+from repro.physical import PhysicalPipeline, PipelineStats
 from repro.store.result_store import ResultStore
 from repro.technology.tech import generic28
 
@@ -75,14 +75,13 @@ def sweep_specs(family) -> list:
 
 def solve(pipeline: PhysicalPipeline, spec: ACIMDesignSpec) -> dict:
     """One design through ``pipeline``; place+route seconds and deltas."""
-    baseline = pipeline.stats.snapshot()
     start = time.perf_counter()
-    report = pipeline.run(spec, route_columns=True).report
+    result = pipeline.run(spec, route_columns=True)
     total = time.perf_counter() - start
-    delta = pipeline.stats.since(baseline)
+    delta = result.stats
     return {
         "spec": spec.as_tuple(),
-        "layout": report.layout,
+        "layout": result.report.layout,
         "total_s": total,
         "solve_s": (delta.stage("placement").seconds
                     + delta.stage("routing").seconds),
@@ -182,11 +181,12 @@ def main(argv=None) -> int:
     if not cold_identical:
         print("FAIL: store-derived solve not byte-identical to flat")
         return 1
-    if cold.macro_library.derived_from_store < 1:
+    store_derives = cold.metrics.value("physical.macro.derive.store")
+    if store_derives < 1:
         print("FAIL: cold process derived nothing from the store index")
         return 1
     print(f"store rung: cold process derived "
-          f"{cold.macro_library.derived_from_store} macro(s) from the "
+          f"{store_derives} macro(s) from the "
           f"template_index table, byte-identical")
 
     def fastest(key):
@@ -199,6 +199,7 @@ def main(argv=None) -> int:
     total_speedup = fastest("flat_total") / fastest("template_total")
 
     n = len(specs)
+    template_stats = PipelineStats.from_metrics(template.metrics.snapshot())
     record = {
         "benchmark": "template_reuse",
         "designs": n,
@@ -210,10 +211,10 @@ def main(argv=None) -> int:
         "flat": {"solve_seconds": round(flat_solve_s, 6)},
         "template": {
             "solve_seconds": round(patched_solve_s, 6),
-            "macros_built": template.stats.macros_built,
-            "macros_derived": template.stats.macros_derived,
-            "macros_reused": template.stats.macros_reused,
-            "derived_from_store": cold.macro_library.derived_from_store,
+            "macros_built": template_stats.macros_built,
+            "macros_derived": template_stats.macros_derived,
+            "macros_reused": template_stats.macros_reused,
+            "store_derives": store_derives,
         },
         "patched_speedup": round(speedup, 2),
         "end_to_end_speedup": round(total_speedup, 2),
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
           f"place+route over {derived_designs} derived designs "
           f"(fastest of {PASSES} passes)")
     print(f"    patched solves  : {patched_solve_s * 1e3:9.1f} ms "
-          f"({template.stats.macros_derived} template derives, "
+          f"({template_stats.macros_derived} template derives, "
           f"{speedup:.2f}x)")
     print(f"    end to end      : {total_speedup:.2f}x over {n} designs")
 

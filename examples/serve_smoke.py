@@ -14,8 +14,9 @@ wire surface with a :class:`~repro.serve.client.ServeClient`:
 3. a long campaign cancelled mid-flight — it must end ``cancelled`` and
    then *finish* via an HTTP ``resume`` request (the checkpoint
    survives cancellation);
-4. structured rejections: unknown kind, invalid field, unknown job, and
-   the 429 rate-limit envelope with its retry hint;
+4. structured rejections: unknown kind, an ill-typed field (a string
+   where a number belongs), unknown job, and the 429 rate-limit
+   envelope with its retry hint;
 5. ``/v1/metrics`` + ``/v1/healthz`` accounting, then a graceful
    drain-and-shutdown (queue refuses new work, in-flight jobs finish,
    the session closes).
@@ -133,6 +134,13 @@ def main() -> int:
             check(error.status == 400 and error.error["field"] == "kind",
                   f"unknown kind: {error.status}/{error.error}")
         try:
+            client.submit({"kind": "explore", "min_snr_db": "abc"})
+            check(False, "a non-numeric min_snr_db was accepted")
+        except ServeHTTPError as error:
+            check(error.status == 400
+                  and error.error["field"] == "min_snr_db",
+                  f"ill-typed field: {error.status}/{error.error}")
+        try:
             client.job("job-999999")
             check(False, "unknown job returned")
         except ServeHTTPError as error:
@@ -152,8 +160,8 @@ def main() -> int:
                       f"429 envelope wrong: {error.status}/{error.error}")
         finally:
             limited.shutdown()
-        print("  rejections   400 unknown-kind, 404 unknown-job, 429 "
-              "rate-limited all structured")
+        print("  rejections   400 unknown-kind, 400 ill-typed field, "
+              "404 unknown-job, 429 rate-limited all structured")
 
         # 5. metrics, health, graceful shutdown ---------------------------
         metrics = client.metrics()

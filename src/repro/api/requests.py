@@ -36,6 +36,18 @@ from repro.store.result_store import RANK_METRICS
 #: kind -> request class; populated by :func:`_register`.
 REQUEST_TYPES: Dict[str, Type["ApiRequest"]] = {}
 
+#: Field annotation -> (accepted value types, their name in errors) of the
+#: scalar fields :meth:`ApiRequest.validate` type-checks, so a JSON string
+#: where a number or flag belongs is rejected naming the field instead of
+#: failing (or silently coercing) mid-run.  ``None`` passes the optional
+#: ones; ``bool`` never passes as a number.
+_SCALAR_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "float": ((int, float), "a number"),
+    "Optional[float]": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+    "Optional[str]": ((str,), "a string"),
+}
+
 
 def _register(cls: Type["ApiRequest"]) -> Type["ApiRequest"]:
     """Class decorator adding a request type to the ``kind`` registry."""
@@ -62,9 +74,26 @@ class ApiRequest:
     def validate(self) -> "ApiRequest":
         """Raise a structured :mod:`repro.errors` exception when invalid.
 
-        Returns ``self`` so construction sites can chain
-        ``Request(...).validate()``.
+        The base checks the type of every number, flag and optional
+        string field (see :data:`_SCALAR_TYPES`); subclasses call it
+        before their domain checks.  Returns ``self`` so construction
+        sites can chain ``Request(...).validate()``.
         """
+        for spec_field in fields(self):
+            expected = _SCALAR_TYPES.get(spec_field.type)
+            value = getattr(self, spec_field.name)
+            if expected is None or (
+                value is None and spec_field.type.startswith("Optional")
+            ):
+                continue
+            types, noun = expected
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                raise RequestError(
+                    f"{spec_field.name} must be {noun}, got {value!r}",
+                    field=spec_field.name,
+                )
         return self
 
     def to_dict(self) -> dict:
@@ -232,6 +261,7 @@ class EstimateRequest(ApiRequest):
     adc_sweep: bool = False
 
     def validate(self) -> "EstimateRequest":
+        super().validate()
         self.spec()
         return self
 
@@ -285,6 +315,7 @@ class ExploreRequest(ApiRequest):
     METHODS: ClassVar[Tuple[str, ...]] = ("nsga2", "exhaustive", "sensitivity")
 
     def validate(self) -> "ExploreRequest":
+        super().validate()
         if self.method not in self.METHODS:
             raise RequestError(
                 f"unknown explore method {self.method!r}; "
@@ -337,6 +368,7 @@ class CampaignRequest(ApiRequest):
     ACTIONS: ClassVar[Tuple[str, ...]] = ("run", "resume")
 
     def validate(self) -> "CampaignRequest":
+        super().validate()
         if not self.name or not isinstance(self.name, str):
             raise RequestError("campaign name must be a non-empty string")
         if self.action not in self.ACTIONS:
@@ -390,6 +422,7 @@ class FlowRequest(ApiRequest):
     campaign_name: Optional[str] = None
 
     def validate(self) -> "FlowRequest":
+        super().validate()
         if not isinstance(self.array_size, int) or self.array_size < 16:
             raise FlowError("array size must be at least 16 bit cells")
         _validate_nsga2(self)
@@ -433,6 +466,7 @@ class QueryRequest(ApiRequest):
     TARGETS: ClassVar[Tuple[str, ...]] = ("designs", "campaigns")
 
     def validate(self) -> "QueryRequest":
+        super().validate()
         if self.what not in self.TARGETS:
             raise RequestError(
                 f"unknown query target {self.what!r}; "
@@ -475,6 +509,7 @@ class LayoutRequest(ApiRequest):
     lef: bool = False
 
     def validate(self) -> "LayoutRequest":
+        super().validate()
         self.spec()
         if self.output_dir is None and (self.spice or self.testbench or self.lef):
             raise RequestError(
@@ -510,6 +545,7 @@ class ValidateSnrRequest(ApiRequest):
     seed: int = 7
 
     def validate(self) -> "ValidateSnrRequest":
+        super().validate()
         if not self.adc_bits:
             raise SimulationError("adc_bits must name at least one precision")
         for bits in self.adc_bits:
@@ -548,15 +584,10 @@ class LibraryRequest(ApiRequest):
     macro_kind: Optional[str] = None
 
     def validate(self) -> "LibraryRequest":
+        super().validate()
         if self.stage is not None and self.stage not in self._STAGES:
             raise RequestError(
                 f"stage must be one of {sorted(self._STAGES)}, "
                 f"got {self.stage!r}"
-            )
-        if self.macro_kind is not None and not isinstance(
-            self.macro_kind, str
-        ):
-            raise RequestError(
-                f"macro_kind must be a string, got {self.macro_kind!r}"
             )
         return self

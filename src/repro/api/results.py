@@ -36,12 +36,12 @@ class ApiResult:
         payload: JSON-serializable result data (shape documented per
             request type in ``docs/api.md``).
         warnings: non-fatal notes (skipped infeasible points, ...).
-        engine_stats: evaluation-engine statistics of this call.
+        engine_stats: evaluation-engine statistics of this call (plus the
+            flattened pipeline keys on physical workflows).
         runtime_seconds: wall-clock of this call (monotonic clock).
         metrics: per-request delta of the session metrics registry
             (``repro.obs`` names -> values; histograms as documents).
-            Superset of ``engine_stats`` — that view is kept for
-            compatibility, this one carries every instrumented subsystem.
+            ``engine_stats`` is a view of this same delta.
         trace_id: id of the active trace during this call (None when
             tracing was disabled).
         artifacts: rich in-process objects backing the payload; excluded

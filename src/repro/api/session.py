@@ -33,6 +33,7 @@ regression-tested geometry-exact (``docs/physical.md``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -60,11 +61,12 @@ from repro.dse.explorer import ExplorationResult, _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.dse.pareto import pareto_front
 from repro.dse.sensitivity import SensitivityAnalyzer
-from repro.engine import EvaluationEngine
+from repro.engine import EngineStats, EvaluationEngine
 from repro.errors import RequestError, StoreError, TechnologyError
 from repro.flow.controller import FlowInputs, _FlowCore
 from repro.model.estimator import ACIMEstimator, ModelParameters
 from repro.obs import MetricsRegistry, get_tracer
+from repro.physical.artifacts import PipelineStats
 from repro.physical.macro_library import MACRO_STAGE
 from repro.physical.pipeline import PhysicalPipeline
 from repro.store.campaign import _CampaignManagerCore
@@ -133,6 +135,61 @@ class SessionConfig:
         except TypeError as error:
             raise RequestError(f"cannot build SessionConfig: {error}")
         return config.validate()
+
+
+def _enveloped(handler: Callable) -> Callable:
+    """The one envelope step every request runs through.
+
+    Validates the request, runs ``handler`` inside an ``api.<kind>``
+    root span and fills the handler's :class:`ApiResult` from a single
+    snapshot of the session registry: ``runtime_seconds``, ``metrics``
+    (the registry delta of the call), ``engine_stats`` (the
+    :class:`EngineStats` view of that delta, plus — when the payload
+    carries ``physical_stats`` — the flattened pipeline keys of its
+    :class:`PipelineStats` view) and the active ``trace_id``.  The typed
+    methods (``session.explore(request)``, ...) and :meth:`Session.submit`
+    are the same wrapped callables, so both return the same envelope.
+    """
+
+    @functools.wraps(handler)
+    def run(self: "Session", request: ApiRequest) -> ApiResult:
+        request.validate()
+        tracer = get_tracer()
+        start = time.perf_counter()
+        baseline = self.metrics.snapshot()
+        with tracer.span(f"api.{request.kind}"):
+            result = handler(self, request)
+        delta = self.metrics.since(baseline)
+        result.runtime_seconds = time.perf_counter() - start
+        result.metrics = delta
+        result.engine_stats = EngineStats.from_metrics(delta).as_dict()
+        if result.payload.get("physical_stats"):
+            result.engine_stats.update(
+                _flat_physical_stats(PipelineStats.from_metrics(delta))
+            )
+        if tracer.enabled:
+            result.trace_id = tracer.trace_id
+        return result
+
+    return run
+
+
+def _flat_physical_stats(stats: PipelineStats) -> Dict[str, Any]:
+    """Pipeline statistics as flat ``engine_stats`` keys.
+
+    Scripted consumers read one flat dictionary: per-stage timings and
+    cache hits join it as ``stage_<name>_seconds`` /
+    ``stage_<name>_cache_hits``, next to the built/reused/derived macro
+    counts (together they account for every macro lookup).
+    """
+    flat: Dict[str, Any] = {}
+    for name, stage in stats.as_dict()["stages"].items():
+        flat[f"stage_{name}_seconds"] = stage["seconds"]
+        flat[f"stage_{name}_cache_hits"] = stage["cache_hits"]
+    flat["macros_built"] = stats.macros_built
+    flat["macros_reused"] = stats.macros_reused
+    flat["macros_derived"] = stats.macros_derived
+    return flat
 
 
 class Session:
@@ -274,82 +331,32 @@ class Session:
             )
         return self.store
 
-    def _finish(
-        self,
-        kind: str,
-        start: float,
-        baseline,
-        payload: Dict[str, Any],
-        status: str = "ok",
-        warnings: Optional[List[str]] = None,
-        artifacts: Optional[Dict[str, Any]] = None,
-    ) -> ApiResult:
-        """Assemble the result envelope with per-call engine-stat deltas."""
-        return ApiResult(
-            kind=kind,
-            status=status,
-            payload=payload,
-            warnings=warnings or [],
-            engine_stats=self.engine.stats.since(baseline).as_dict(),
-            runtime_seconds=time.perf_counter() - start,
-            artifacts=artifacts or {},
-        )
-
-    @staticmethod
-    def _merge_physical_stats(result: ApiResult, physical_stats: dict) -> None:
-        """Fold per-stage pipeline timings into the envelope's engine stats.
-
-        Scripted consumers read one flat ``engine_stats`` dictionary; the
-        pipeline's stage timings and cache hits join it under
-        ``stage_<name>_seconds`` / ``stage_<name>_cache_hits`` keys, next
-        to the built/reused/derived macro counters (together they account
-        for every macro lookup).
-        """
-        if not physical_stats:
-            return
-        for name, stage in physical_stats.get("stages", {}).items():
-            result.engine_stats[f"stage_{name}_seconds"] = stage["seconds"]
-            result.engine_stats[f"stage_{name}_cache_hits"] = stage["cache_hits"]
-        result.engine_stats["macros_built"] = physical_stats.get("macros_built", 0)
-        result.engine_stats["macros_reused"] = physical_stats.get("macros_reused", 0)
-        result.engine_stats["macros_derived"] = physical_stats.get("macros_derived", 0)
-
     # -- dispatch -------------------------------------------------------------
 
     def submit(self, request: Union[ApiRequest, dict]) -> ApiResult:
         """Execute any request (typed object or its dict form).
 
-        The result carries a per-request delta of the session metrics
-        registry (:attr:`ApiResult.metrics`) and, when tracing is
-        enabled, the active trace id — the whole request runs inside an
-        ``api.<kind>`` root span.
+        Dispatches to the typed method of the request's kind, so the
+        envelope — per-request metrics delta, engine statistics and, when
+        tracing is enabled, the trace id of the ``api.<kind>`` root span
+        — is the one the typed method returns.
         """
         if isinstance(request, dict):
             request = request_from_dict(request)
-        kind = type(request).kind
+        kind = getattr(type(request), "kind", None)
         handler = self._HANDLERS.get(kind)
         if handler is None:
             raise RequestError(
-                f"session cannot handle request kind "
-                f"{getattr(type(request), 'kind', None)!r}"
+                f"session cannot handle request kind {kind!r}"
             )
-        tracer = get_tracer()
-        before = self.metrics.snapshot()
-        with tracer.span(f"api.{kind}"):
-            result = handler(self, request)
-        result.metrics = self.metrics.since(before)
-        if tracer.enabled:
-            result.trace_id = tracer.trace_id
-        return result
+        return handler(self, request)
 
     # -- workflows ------------------------------------------------------------
 
+    @_enveloped
     def estimate(self, request: EstimateRequest) -> ApiResult:
         """Evaluate the estimation model for one design point (or sweep)."""
-        request.validate()
         spec = request.spec()
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         if request.adc_sweep:
             # Highest precision the CDAC grouping supports: H/L >= 2^B_ADC.
             max_feasible_bits = spec.local_arrays_per_column.bit_length() - 1
@@ -361,19 +368,17 @@ class Session:
         else:
             specs = [spec]
         metrics = self.engine.evaluate_specs(self.estimator, specs)
-        return self._finish(
-            request.kind, start, baseline,
+        return ApiResult(
+            kind=request.kind,
             payload={"metrics": [m.as_dict() for m in metrics]},
             artifacts={"metrics": metrics},
         )
 
+    @_enveloped
     def explore(self, request: ExploreRequest) -> ApiResult:
         """Design-space exploration (NSGA-II, exhaustive or sensitivity)."""
-        request.validate()
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         if request.method == "sensitivity":
-            return self._explore_sensitivity(request, start, baseline)
+            return self._explore_sensitivity(request)
         if request.method == "exhaustive":
             # Build the grid here so the request's height bounds apply
             # (evaluate_all's own enumeration has no height arguments).
@@ -429,8 +434,9 @@ class Session:
             "pareto": [d.metrics.as_dict() for d in pareto_set],
             "distilled": [d.metrics.as_dict() for d in distilled],
         }
-        return self._finish(
-            request.kind, start, baseline, payload,
+        return ApiResult(
+            kind=request.kind,
+            payload=payload,
             artifacts={
                 "pareto_set": pareto_set,
                 "distilled": distilled,
@@ -438,9 +444,7 @@ class Session:
             },
         )
 
-    def _explore_sensitivity(
-        self, request: ExploreRequest, start: float, baseline
-    ) -> ApiResult:
+    def _explore_sensitivity(self, request: ExploreRequest) -> ApiResult:
         analyzer = SensitivityAnalyzer(
             base=self.estimator.parameters, engine=self.engine
         )
@@ -454,8 +458,8 @@ class Session:
         if request.sensitivity_parameters is not None:
             kwargs["parameters"] = request.sensitivity_parameters
         rows = analyzer.frontier_sensitivity(request.array_size, **kwargs)
-        return self._finish(
-            request.kind, start, baseline,
+        return ApiResult(
+            kind=request.kind,
             payload={
                 "array_size": request.array_size,
                 "method": request.method,
@@ -465,12 +469,10 @@ class Session:
             artifacts={"sensitivity": rows},
         )
 
+    @_enveloped
     def campaign(self, request: CampaignRequest) -> ApiResult:
         """Start or resume a named, checkpointed exploration campaign."""
-        request.validate()
         store = self._require_store(request.kind)
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         manager = _CampaignManagerCore(
             store,
             estimator=self.estimator,
@@ -502,17 +504,16 @@ class Session:
             "resumed": outcome.resumed,
             "pareto": [d.metrics.as_dict() for d in outcome.pareto_set],
         }
-        return self._finish(
-            request.kind, start, baseline, payload,
+        return ApiResult(
+            kind=request.kind,
             status="ok" if outcome.status == "completed" else "interrupted",
+            payload=payload,
             artifacts={"result": outcome},
         )
 
+    @_enveloped
     def flow(self, request: FlowRequest) -> ApiResult:
         """The end-to-end flow: explore, distill, netlists, layouts."""
-        request.validate()
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         inputs = FlowInputs(
             array_size=request.array_size,
             technology=self.technology,
@@ -555,19 +556,14 @@ class Session:
             },
             "physical_stats": outcome.physical_stats,
         }
-        result = self._finish(
-            request.kind, start, baseline, payload,
-            artifacts={"result": outcome},
+        return ApiResult(
+            kind=request.kind, payload=payload, artifacts={"result": outcome}
         )
-        self._merge_physical_stats(result, outcome.physical_stats)
-        return result
 
+    @_enveloped
     def query(self, request: QueryRequest) -> ApiResult:
         """Query the persistent store (design points or campaigns)."""
-        request.validate()
         store = self._require_store(request.kind)
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         if request.what == "campaigns":
             records = store.list_campaigns()
             payload = {
@@ -575,8 +571,9 @@ class Session:
                 "campaigns": [record.as_dict() for record in records],
                 "run_metrics": store.list_run_metrics(),
             }
-            return self._finish(
-                request.kind, start, baseline, payload,
+            return ApiResult(
+                kind=request.kind,
+                payload=payload,
                 artifacts={"campaigns": records},
             )
         entries, total = store.query_page(
@@ -595,17 +592,14 @@ class Session:
             "offset": request.offset,
             "designs": [entry.as_dict() for entry in entries],
         }
-        return self._finish(
-            request.kind, start, baseline, payload,
-            artifacts={"entries": entries},
+        return ApiResult(
+            kind=request.kind, payload=payload, artifacts={"entries": entries}
         )
 
+    @_enveloped
     def layout(self, request: LayoutRequest) -> ApiResult:
         """Netlist + layout (+ optional SPICE/testbench/LEF) for one point."""
-        request.validate()
         spec = request.spec()
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         files: Dict[str, str] = {}
         output_dir = None
         if request.output_dir is not None:
@@ -614,7 +608,6 @@ class Session:
 
         # One run on the session pipeline, so repeated layout requests
         # (and flow runs) share one macro/artifact cache.
-        physical_baseline = self.pipeline.stats.snapshot()
         product = self.pipeline.run(
             spec,
             generate_netlist=True,
@@ -648,24 +641,20 @@ class Session:
             write_macro_lef(report.layout, self.technology, macro_lef)
             files["tech_lef"] = str(tech_lef)
             files["macro_lef"] = str(macro_lef)
-        physical_stats = self.pipeline.stats.since(physical_baseline).as_dict()
         payload = {
             "report": report.as_dict(),
             "files": files,
-            "physical_stats": physical_stats,
+            "physical_stats": product.stats.as_dict(),
         }
-        result = self._finish(
-            request.kind, start, baseline, payload,
+        return ApiResult(
+            kind=request.kind,
+            payload=payload,
             artifacts={"report": report, "netlist": netlist},
         )
-        self._merge_physical_stats(result, physical_stats)
-        return result
 
+    @_enveloped
     def validate_snr(self, request: ValidateSnrRequest) -> ApiResult:
         """Monte-Carlo validation of the analytic SNR model."""
-        request.validate()
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         from repro.sim.montecarlo import MonteCarloSnr
 
         rows: List[dict] = []
@@ -691,17 +680,15 @@ class Session:
                 ),
                 "measured_dB": round(measurement.snr_db, 2),
             })
-        return self._finish(
-            request.kind, start, baseline,
+        return ApiResult(
+            kind=request.kind,
             payload={"trials": request.trials, "points": rows},
             warnings=warnings,
         )
 
+    @_enveloped
     def library_report(self, request: LibraryRequest) -> ApiResult:
         """Consistency check (and optional report) of the cell library."""
-        request.validate()
-        start = time.perf_counter()
-        baseline = self.engine.stats.snapshot()
         library = self.library
         problems = library.check_consistency()
         payload = {
@@ -716,9 +703,10 @@ class Session:
             payload["macros"] = self._macro_listing(
                 stage=request.stage, kind=request.macro_kind
             )
-        return self._finish(
-            request.kind, start, baseline, payload,
+        return ApiResult(
+            kind=request.kind,
             status="ok" if not problems else "failed",
+            payload=payload,
             artifacts={"library": library},
         )
 

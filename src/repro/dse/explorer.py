@@ -22,7 +22,7 @@ from repro.arch.spec import ACIMDesignSpec
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.pareto import pareto_front
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.engine import EvaluationEngine, default_engine
+from repro.engine import EngineStats, EvaluationEngine, default_engine
 from repro.model.estimator import ACIMEstimator
 
 
@@ -153,7 +153,7 @@ class _ExplorerCore:
             power_of_two_heights=self.power_of_two_heights,
         )
         optimizer = NSGA2(problem, self.config)
-        stats_baseline = engine.stats.snapshot()
+        stats_baseline = engine.metrics.snapshot()
         start = time.perf_counter()
         final_population = optimizer.run()
         runtime = time.perf_counter() - start
@@ -165,7 +165,9 @@ class _ExplorerCore:
             generations=self.config.generations,
             runtime_seconds=runtime,
             history=optimizer.history,
-            engine_stats=engine.stats.since(stats_baseline).as_dict(),
+            engine_stats=EngineStats.from_metrics(
+                engine.metrics.since(stats_baseline)
+            ).as_dict(),
         )
 
     def explore_many(

@@ -23,8 +23,8 @@ this bit-identically).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.arch.batch import SpecBatch
 from repro.engine.cache import (
@@ -37,9 +37,14 @@ from repro.errors import EngineError
 from repro.obs import MetricsRegistry, SIZE_BUCKETS, get_tracer
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineStats:
-    """Aggregate statistics of one engine instance.
+    """Read-only view of an engine's counters in a metrics registry.
+
+    Built by :meth:`from_metrics` from a registry snapshot (cumulative
+    totals, :attr:`EvaluationEngine.stats`) or from a ``since()`` delta
+    (one run or one request); the counters themselves live only in the
+    registry.
 
     Attributes:
         batches: number of ``evaluate_specs`` batch submissions.
@@ -60,32 +65,29 @@ class EngineStats:
     busy_seconds: float = 0.0
     worker_seconds: float = 0.0
 
+    @classmethod
+    def from_metrics(cls, values: Mapping[str, object]) -> "EngineStats":
+        """The view of a registry snapshot or delta.
+
+        The ``int()``/``float()`` coercions matter: registry counters
+        start as int ``0``, and ``as_dict()`` must keep emitting ``0.0``
+        (not ``0``) for the seconds fields.
+        """
+        return cls(
+            batches=int(values.get("engine.eval.batches", 0)),
+            tasks=int(values.get("engine.eval.tasks", 0)),
+            evaluations=int(values.get("engine.eval.computed", 0)),
+            cache_hits=int(values.get("engine.cache.hit", 0)),
+            busy_seconds=float(values.get("engine.busy.seconds", 0)),
+            worker_seconds=float(values.get("engine.worker.seconds", 0)),
+        )
+
     @property
     def evaluations_per_second(self) -> float:
         """Computed evaluations per busy second (0 when idle)."""
         if self.busy_seconds <= 0.0:
             return 0.0
         return self.evaluations / self.busy_seconds
-
-    def snapshot(self) -> "EngineStats":
-        """An independent copy of the counters at this instant."""
-        return replace(self)
-
-    def since(self, baseline: "EngineStats") -> "EngineStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`.
-
-        Engines are long-lived (one per flow, shared across `explore_many`
-        sizes), so per-run statistics are reported as deltas instead of the
-        cumulative totals.
-        """
-        return EngineStats(
-            batches=self.batches - baseline.batches,
-            tasks=self.tasks - baseline.tasks,
-            evaluations=self.evaluations - baseline.evaluations,
-            cache_hits=self.cache_hits - baseline.cache_hits,
-            busy_seconds=self.busy_seconds - baseline.busy_seconds,
-            worker_seconds=self.worker_seconds - baseline.worker_seconds,
-        )
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary for result records and report tables."""
@@ -114,8 +116,8 @@ class EvaluationEngine:
             ``cache`` as well raises :class:`~repro.errors.EngineError`.
         metrics: :class:`~repro.obs.MetricsRegistry` the engine records
             into; defaults to a private registry.  All statistics live in
-            the registry under ``engine.*`` names and :attr:`stats`
-            materializes the classic :class:`EngineStats` view from it.
+            the registry under ``engine.*`` names; :attr:`stats` is the
+            :class:`EngineStats` view of its totals.
 
     Arguments are keyword-only, so a call written for the removed
     ``backend`` positional argument fails loudly instead of binding a
@@ -157,22 +159,12 @@ class EvaluationEngine:
 
     @property
     def stats(self) -> EngineStats:
-        """Aggregate batch/cache/timing statistics of this engine.
+        """Cumulative batch/cache/timing statistics of this engine.
 
-        Materialized from the metrics registry on every read.  The
-        ``int()``/``float()`` coercions matter: registry counters start
-        as int ``0``, and ``as_dict()`` must keep emitting ``0.0`` (not
-        ``0``) for the seconds fields to stay byte-identical with the
-        pre-registry dataclass.
+        A view of the registry's current totals; per-run figures are
+        :meth:`EngineStats.from_metrics` of a ``metrics.since()`` delta.
         """
-        return EngineStats(
-            batches=int(self._m_batches.value),
-            tasks=int(self._m_tasks.value),
-            evaluations=int(self._m_evaluations.value),
-            cache_hits=int(self._m_cache_hits.value),
-            busy_seconds=float(self._m_busy.value),
-            worker_seconds=float(self._m_worker.value),
-        )
+        return EngineStats.from_metrics(self.metrics.snapshot())
 
     # -- cached spec evaluation ----------------------------------------------
 

@@ -39,9 +39,10 @@ from repro.dse.distill import DistillationCriteria, distill
 from repro.dse.explorer import ExplorationResult, _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.dse.problem import EvaluatedDesign
-from repro.engine import EvaluationEngine
+from repro.engine import EngineStats, EvaluationEngine
 from repro.model.estimator import ACIMEstimator, ModelParameters
 from repro.netlist.circuit import Circuit
+from repro.physical.artifacts import PipelineStats
 from repro.physical.pipeline import LayoutGenerationReport, PhysicalPipeline
 from repro.store.result_store import ResultStore
 from repro.technology.tech import Technology, generic28
@@ -172,7 +173,7 @@ class _FlowCore:
             estimator=self.estimator, config=inputs.nsga2, engine=self.engine
         )
         self.pipeline = inputs.pipeline or PhysicalPipeline(
-            self.library, store=inputs.store
+            self.library, store=inputs.store, metrics=self.engine.metrics
         )
 
     # -- individual stages -----------------------------------------------------------
@@ -208,7 +209,7 @@ class _FlowCore:
             output_dir: where to export GDS/DEF when layouts are generated.
         """
         start = time.perf_counter()
-        stats_baseline = self.engine.stats.snapshot()
+        engine_baseline = self.engine.metrics.snapshot()
         exploration = self.explore()
         distilled = self.distill(exploration)
         result = FlowResult(
@@ -222,7 +223,7 @@ class _FlowCore:
             # sub-macros are solved once and every later design (and
             # every later flow run on this pipeline/store) instantiates
             # them from the cache.
-            physical_baseline = self.pipeline.stats.snapshot()
+            pipeline_baseline = self.pipeline.metrics.snapshot()
             for design in selected:
                 spec = design.spec
                 product = self.pipeline.run(
@@ -236,12 +237,14 @@ class _FlowCore:
                     result.netlists[spec.as_tuple()] = product.netlist
                 if product.report is not None:
                     result.layouts[spec.as_tuple()] = product.report
-            result.physical_stats = self.pipeline.stats.since(
-                physical_baseline
+            result.physical_stats = PipelineStats.from_metrics(
+                self.pipeline.metrics.since(pipeline_baseline)
             ).as_dict()
         if self.inputs.store is not None:
             self._record_campaign(exploration, result.physical_stats)
-        result.engine_stats = self.engine.stats.since(stats_baseline).as_dict()
+        result.engine_stats = EngineStats.from_metrics(
+            self.engine.metrics.since(engine_baseline)
+        ).as_dict()
         result.runtime_seconds = time.perf_counter() - start
         return result
 

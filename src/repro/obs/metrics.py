@@ -11,16 +11,17 @@ records into.  Consumers read it two ways:
   :meth:`MetricsRegistry.since` diffs two snapshots into a per-call
   delta (the shape :meth:`repro.api.Session.submit` attaches to every
   :class:`~repro.api.results.ApiResult`);
-* **typed views** — ``EngineStats`` is materialized *from* the registry
-  (see :mod:`repro.engine.engine`), so the legacy statistics API keeps
-  its exact shape while the numbers live here.
+* **typed views** — ``EngineStats`` and ``PipelineStats`` are read-only
+  views built ``from_metrics()`` of a snapshot or delta (see
+  :mod:`repro.engine.engine` and :mod:`repro.physical.artifacts`), so
+  each fact is counted once, here.
 
 Instruments are created on first use (``registry.counter(name)``) and
 instrument handles are cheap to hold, so hot paths resolve them once and
 record batch-aggregated values — one lock acquisition per batch, not per
 item.  Counter values are plain Python ints/floats accumulated in the
 same order the legacy ``+=`` counters used, which is what keeps the
-registry-backed ``EngineStats`` bit-identical to the pre-refactor one.
+``EngineStats`` view bit-identical to the pre-registry dataclass.
 
 Metric names are dotted lowercase paths (``engine.cache.hit``,
 ``store.put.seconds``); the catalogue lives in
@@ -186,9 +187,9 @@ class MetricsRegistry:
 
     Instruments are created on first use and live for the registry's
     lifetime; asking for an existing name returns the existing instrument
-    (a kind mismatch raises).  ``snapshot()``/``since()`` mirror the
-    ``EngineStats.snapshot()/since()`` discipline the repo already uses:
-    long-lived registries accumulate forever, consumers diff snapshots.
+    (a kind mismatch raises).  Long-lived registries accumulate forever;
+    a consumer that wants one run's figures takes a ``snapshot()`` before
+    it and reads the ``since()`` delta after it.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Mapping
 
 #: Stage names of the physical pipeline, in execution order.
 PIPELINE_STAGES = ("netlist", "placement", "routing", "layout", "export")
@@ -39,14 +39,15 @@ def artifact_digest(stage: str, key) -> str:
     ).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageStats:
-    """Counters of one pipeline stage.
+    """Counters of one pipeline stage (a read-only view).
 
     Attributes:
-        runs: times the stage executed (including cache-served runs).
+        runs: times the stage executed (cache-served lookups run nothing).
         seconds: wall-clock spent inside the stage.
-        cache_hits: runs served from the in-memory or persistent cache.
+        cache_hits: macro lookups of the stage served from the in-memory
+            or persistent cache.
         store_hits: the subset of ``cache_hits`` served by the result store.
     """
 
@@ -64,56 +65,52 @@ class StageStats:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineStats:
-    """Accumulated per-stage statistics of a :class:`PhysicalPipeline`.
+    """Per-stage statistics of a :class:`PhysicalPipeline` (a read-only view).
 
-    Mirrors the engine's ``EngineStats`` discipline: long-lived pipelines
-    accumulate forever and callers take :meth:`snapshot` / :meth:`since`
-    deltas per run.
+    Built by :meth:`from_metrics` from the ``physical.*`` counters of a
+    metrics-registry snapshot or ``since()`` delta, so a run, a flow and
+    a request all read the one set of counters the pipeline records.
     """
 
-    stages: Dict[str, StageStats] = field(
+    stages: Mapping[str, StageStats] = field(
         default_factory=lambda: {name: StageStats() for name in PIPELINE_STAGES}
     )
     macros_built: int = 0
     macros_reused: int = 0
     macros_derived: int = 0
 
-    def stage(self, name: str) -> StageStats:
-        """The (auto-created) counters of one stage."""
-        if name not in self.stages:
-            self.stages[name] = StageStats()
-        return self.stages[name]
+    @classmethod
+    def from_metrics(cls, values: Mapping[str, object]) -> "PipelineStats":
+        """The view of a registry snapshot or delta."""
+        def count(name: str) -> int:
+            return int(values.get(name, 0))
 
-    def snapshot(self) -> "PipelineStats":
-        """An immutable copy to diff against later with :meth:`since`."""
-        return PipelineStats(
+        return cls(
             stages={
-                name: StageStats(s.runs, s.seconds, s.cache_hits, s.store_hits)
-                for name, s in self.stages.items()
+                name: StageStats(
+                    runs=count(f"physical.stage.{name}.runs"),
+                    seconds=float(values.get(f"physical.stage.{name}.seconds", 0)),
+                    cache_hits=count(f"physical.stage.{name}.cache_hits"),
+                    store_hits=count(f"physical.stage.{name}.store_hits"),
+                )
+                for name in PIPELINE_STAGES
             },
-            macros_built=self.macros_built,
-            macros_reused=self.macros_reused,
-            macros_derived=self.macros_derived,
+            macros_built=count("physical.macro.built"),
+            macros_reused=(
+                count("physical.macro.hit.memory")
+                + count("physical.macro.hit.store")
+            ),
+            macros_derived=(
+                count("physical.macro.derive.memory")
+                + count("physical.macro.derive.store")
+            ),
         )
 
-    def since(self, baseline: "PipelineStats") -> "PipelineStats":
-        """The delta accumulated after ``baseline`` was snapshotted."""
-        delta = PipelineStats(
-            stages={}, macros_built=self.macros_built - baseline.macros_built,
-            macros_reused=self.macros_reused - baseline.macros_reused,
-            macros_derived=self.macros_derived - baseline.macros_derived,
-        )
-        for name, current in self.stages.items():
-            base = baseline.stages.get(name, StageStats())
-            delta.stages[name] = StageStats(
-                runs=current.runs - base.runs,
-                seconds=current.seconds - base.seconds,
-                cache_hits=current.cache_hits - base.cache_hits,
-                store_hits=current.store_hits - base.store_hits,
-            )
-        return delta
+    def stage(self, name: str) -> StageStats:
+        """The counters of one stage (zeros for an unknown name)."""
+        return self.stages.get(name, StageStats())
 
     def as_dict(self) -> dict:
         """Serializable record (the ``physical_stats`` payload section)."""
@@ -131,4 +128,3 @@ class PipelineStats:
     def cache_hits(self) -> int:
         """Total cache-served stage runs across all stages."""
         return sum(stage.cache_hits for stage in self.stages.values())
-

@@ -126,11 +126,6 @@ class MacroLibrary:
         self._memory: Dict[str, MacroRecord] = {}
         self._fingerprint: Optional[str] = None
         self.templates = TemplateIndex()
-        self.built = 0
-        self.memory_hits = 0
-        self.store_hits = 0
-        self.derived = 0
-        self.derived_from_store = 0
 
     # -- identity --------------------------------------------------------------
 
@@ -179,14 +174,15 @@ class MacroLibrary:
         deriver: Optional[
             Callable[[MacroTemplate], Optional[Tuple[LayoutCell, Dict[str, int]]]]
         ] = None,
-    ) -> MacroRecord:
+    ) -> Tuple[MacroRecord, str]:
         """Serve a solved macro through the lookup ladder.
 
         The ladder is: exact digest hit in memory -> exact hit in the
         store -> incremental derive from the nearest same-family template
         (in-memory index first, then the store's ``template_index``) ->
-        cold solve.  The returned record's ``source`` names the rung that
-        satisfied the request.
+        cold solve.  Returns the record and the rung that served it:
+        ``hit.memory``, ``hit.store``, ``derive.memory``, ``derive.store``
+        or ``built`` (the ``physical.macro.<rung>`` counter names).
 
         Args:
             kind: macro family name.
@@ -204,25 +200,22 @@ class MacroLibrary:
         digest = self.macro_digest(kind, key)
         record = self._memory.get(digest)
         if record is not None:
-            self.memory_hits += 1
             if record.source != "memory":
                 record = replace(record, source="memory")
                 self._memory[digest] = record
-            return record
+            return record, "hit.memory"
         record = self._load(kind, digest)
         if record is not None:
-            self.store_hits += 1
             self._memory[digest] = record
             self._register_template(record, key)
-            return record
+            return record, "hit.store"
         if deriver is not None:
-            record = self._derive(kind, key, digest, deriver)
-            if record is not None:
-                return record
+            derived = self._derive(kind, key, digest, deriver)
+            if derived is not None:
+                return derived
         layout, stats = builder()
         record = self._admit(kind, key, digest, layout, stats, source="built")
-        self.built += 1
-        return record
+        return record, "built"
 
     def macros(self) -> List[MacroRecord]:
         """Every macro currently held in memory, oldest first."""
@@ -266,7 +259,7 @@ class MacroLibrary:
         key,
         digest: str,
         deriver: Callable[[MacroTemplate], Optional[Tuple[LayoutCell, Dict[str, int]]]],
-    ) -> Optional[MacroRecord]:
+    ) -> Optional[Tuple[MacroRecord, str]]:
         template, origin = self._nearest_with_origin(
             kind, key, exclude_digest=digest
         )
@@ -277,10 +270,7 @@ class MacroLibrary:
             return None
         layout, stats = derived
         record = self._admit(kind, key, digest, layout, stats, source="derived")
-        self.derived += 1
-        if origin == "store":
-            self.derived_from_store += 1
-        return record
+        return record, f"derive.{origin}"
 
     def _nearest_from_store(
         self,

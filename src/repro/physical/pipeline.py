@@ -42,7 +42,7 @@ from repro.layout.gdsii import write_gds
 from repro.layout.geometry import Rect, Transform
 from repro.layout.layout import LayoutCell
 from repro.netlist.circuit import Circuit
-from repro.obs import get_tracer
+from repro.obs import MetricsRegistry, get_tracer
 from repro.physical.artifacts import PipelineStats
 from repro.physical.macro_library import MacroLibrary, MacroRecord
 from repro.physical.netlist_builder import NetlistBuilder
@@ -108,7 +108,8 @@ class PipelineResult:
         spec: the design point the pipeline ran on.
         netlist: the macro netlist (when requested).
         report: the layout-generation report (when requested).
-        stats: per-stage timing/cache statistics of this run only.
+        stats: per-stage timing/cache statistics of this run only (the
+            view of the run's ``physical.*`` registry delta).
     """
 
     spec: ACIMDesignSpec
@@ -123,9 +124,11 @@ class PhysicalPipeline:
     Args:
         library: customized cell library providing leaf netlist/layout views.
         store: optional persistent result store backing the macro cache.
-        metrics: optional :class:`~repro.obs.MetricsRegistry` stage
-            timings and macro reuse counters are recorded into
-            (``physical.*`` names).
+        metrics: :class:`~repro.obs.MetricsRegistry` stage timings and
+            macro-ladder counters are recorded into (``physical.*``
+            names); defaults to a private registry.  The pipeline keeps
+            no counters of its own: :class:`PipelineStats` is the view of
+            a snapshot or delta of these.
     """
 
     #: Routing layers of the over-cell grid, lowest first.
@@ -144,8 +147,7 @@ class PhysicalPipeline:
         )
         self.macro_library = MacroLibrary(library, store=store)
         self.netlist_builder = NetlistBuilder(library)
-        self.stats = PipelineStats()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # -- public API --------------------------------------------------------------------
 
@@ -169,7 +171,7 @@ class PhysicalPipeline:
                 written to; ``None`` keeps the layout in memory only.
         """
         spec.validate()
-        baseline = self.stats.snapshot()
+        baseline = self.metrics.snapshot()
         netlist = None
         if generate_netlist:
             netlist = self._netlist_stage(spec)
@@ -182,7 +184,7 @@ class PhysicalPipeline:
             spec=spec,
             netlist=netlist,
             report=report,
-            stats=self.stats.since(baseline),
+            stats=PipelineStats.from_metrics(self.metrics.since(baseline)),
         )
 
     # -- stage: netlist ----------------------------------------------------------------
@@ -286,53 +288,28 @@ class PhysicalPipeline:
             Callable[[MacroTemplate], Optional[Tuple[LayoutCell, Dict[str, int]]]]
         ] = None,
     ) -> MacroRecord:
-        """One macro through the lookup ladder, with per-rung accounting.
+        """One macro through the lookup ladder, counted once by rung.
 
         The ladder (exact memory hit -> exact store hit -> template derive
         from memory -> template derive from a store neighbour -> cold
-        solve) lives in :meth:`MacroLibrary.get_or_build`; this wrapper
-        attributes the outcome to stage counters and the per-rung
-        ``physical.macro.*`` metrics.
+        solve) lives in :meth:`MacroLibrary.get_or_build`; the rung it
+        served lands in ``physical.macro.<rung>``, and an exact hit also
+        counts as a cache (and store) hit of the macro's ``stages``.
         """
-        library = self.macro_library
-        before = (
-            library.built, library.memory_hits, library.store_hits,
-            library.derived, library.derived_from_store,
+        record, rung = self.macro_library.get_or_build(
+            kind, key, builder, deriver=deriver
         )
-        record = library.get_or_build(kind, key, builder, deriver=deriver)
-        built, memory_hits, store_hits, derived, derived_from_store = (
-            library.built - before[0],
-            library.memory_hits - before[1],
-            library.store_hits - before[2],
-            library.derived - before[3],
-            library.derived_from_store - before[4],
-        )
-        if built:
-            self.stats.macros_built += 1
-            self._count("physical.macro.built")
-        elif derived:
-            self.stats.macros_derived += 1
-            if derived_from_store:
-                self._count("physical.macro.derive.store")
-            else:
-                self._count("physical.macro.derive.memory")
-        else:
-            self.stats.macros_reused += 1
-            self._count("physical.macro.reuse")
-            if memory_hits:
-                self._count("physical.macro.hit.memory")
-            elif store_hits:
-                self._count("physical.macro.hit.store")
+        self.metrics.counter(f"physical.macro.{rung}").inc()
+        if rung.startswith("hit."):
             for stage_name in stages:
-                stage = self.stats.stage(stage_name)
-                stage.cache_hits += 1
-                if store_hits:
-                    stage.store_hits += 1
+                self.metrics.counter(
+                    f"physical.stage.{stage_name}.cache_hits"
+                ).inc()
+                if rung == "hit.store":
+                    self.metrics.counter(
+                        f"physical.stage.{stage_name}.store_hits"
+                    ).inc()
         return record
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
 
     def _derive_macro(
         self,
@@ -360,7 +337,7 @@ class PhysicalPipeline:
                 span.set("replayed", stats.get("replayed", 0))
                 span.set("searched", stats.get("searched", 0))
                 if check_own_level_shorts(self.technology, cell):
-                    self._count("physical.macro.derive.rejected")
+                    self.metrics.counter("physical.macro.derive.rejected").inc()
                     return None
                 return cell, stats
 
@@ -573,24 +550,14 @@ class PhysicalPipeline:
 
     @contextmanager
     def _timed(self, stage_name: str):
-        """Attribute the enclosed wall-clock to one stage's counters.
-
-        Also opens a ``physical.<stage>`` trace span and mirrors the
-        elapsed time into the metrics registry when one is attached.
-        """
-        stage = self.stats.stage(stage_name)
-        stage.runs += 1
+        """Count one run of a stage and its wall-clock, inside a
+        ``physical.<stage>`` trace span."""
+        self.metrics.counter(f"physical.stage.{stage_name}.runs").inc()
         start = time.perf_counter()
         with get_tracer().span(f"physical.{stage_name}"):
             try:
                 yield
             finally:
-                elapsed = time.perf_counter() - start
-                stage.seconds += elapsed
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        f"physical.stage.{stage_name}.seconds"
-                    ).add(elapsed)
-                    self.metrics.counter(
-                        f"physical.stage.{stage_name}.runs"
-                    ).inc()
+                self.metrics.counter(
+                    f"physical.stage.{stage_name}.seconds"
+                ).add(time.perf_counter() - start)

@@ -27,6 +27,7 @@ from repro.dse.explorer import pareto_designs_from_population
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
 from repro.engine import (
+    EngineStats,
     EvaluationEngine,
     parameters_cache_key,
     spec_cache_key,
@@ -223,7 +224,7 @@ class _CampaignManagerCore:
         config = NSGA2Config(**_nsga2_fields(campaign_config))
         start = time.perf_counter()
         engine = self.engine or EvaluationEngine(store=self.store)
-        stats_baseline = engine.stats.snapshot()
+        stats_baseline = engine.metrics.snapshot()
         problem = ACIMDesignProblem(
             array_size,
             estimator=self.estimator,
@@ -291,7 +292,9 @@ class _CampaignManagerCore:
             evaluations=optimizer.evaluations,
             add_runtime_seconds=runtime,
         )
-        stats_delta = engine.stats.since(stats_baseline).as_dict()
+        stats_delta = EngineStats.from_metrics(
+            engine.metrics.since(stats_baseline)
+        ).as_dict()
         run_row = _run_metrics_row(
             status, steps_this_call, runtime, stats_delta
         )

@@ -185,6 +185,41 @@ class TestRequestValidation:
         with pytest.raises(StoreError, match="rank metric"):
             QueryRequest(rank_by="speed").validate()
 
+    @pytest.mark.parametrize("data, field", [
+        ({"kind": "explore", "min_snr_db": "abc"}, "min_snr_db"),
+        ({"kind": "explore", "min_tops": True}, "min_tops"),
+        ({"kind": "flow", "min_tops_per_watt": "1.0"}, "min_tops_per_watt"),
+        ({"kind": "query", "max_area_f2_per_bit": [500]},
+         "max_area_f2_per_bit"),
+        ({"kind": "explore", "method": "sensitivity",
+          "relative_change": "x"}, "relative_change"),
+        ({"kind": "explore", "relative_change": False}, "relative_change"),
+        ({"kind": "estimate", "adc_sweep": "no"}, "adc_sweep"),
+        ({"kind": "flow", "route_columns": 1}, "route_columns"),
+        ({"kind": "query", "pareto_only": "false"}, "pareto_only"),
+        ({"kind": "layout", "lef": 0}, "lef"),
+        ({"kind": "library", "macros": "yes"}, "macros"),
+        ({"kind": "layout", "output_dir": 5}, "output_dir"),
+        ({"kind": "flow", "output_dir": ["out"]}, "output_dir"),
+        ({"kind": "flow", "campaign_name": 7}, "campaign_name"),
+    ])
+    def test_ill_typed_scalar_fields_name_the_field(self, data, field):
+        with pytest.raises(RequestError) as info:
+            request_from_dict(data)
+        assert info.value.field == field
+        assert info.value.as_dict()["field"] == field
+
+    def test_typed_requests_are_type_checked_too(self):
+        with pytest.raises(RequestError) as info:
+            Session().explore(ExploreRequest(min_snr_db="abc"))
+        assert info.value.field == "min_snr_db"
+
+    def test_integral_numbers_are_accepted(self):
+        request = request_from_dict(
+            {"kind": "explore", "min_snr_db": 15, "relative_change": 1}
+        )
+        assert request.min_snr_db == 15
+
     def test_layout_views_need_output_dir(self):
         with pytest.raises(RequestError, match="output_dir"):
             LayoutRequest(spice=True).validate()
@@ -495,6 +530,57 @@ class TestSessionWorkflows:
 # ---------------------------------------------------------------------------
 # Legacy front doors (removed in 1.2.0)
 # ---------------------------------------------------------------------------
+
+
+#: Public typed method of each request kind.
+TYPED_METHODS = {
+    "estimate": "estimate",
+    "explore": "explore",
+    "campaign": "campaign",
+    "flow": "flow",
+    "query": "query",
+    "layout": "layout",
+    "validate-snr": "validate_snr",
+    "library": "library_report",
+}
+
+
+def _small_request(kind: str, tag: str):
+    """A fast request of ``kind``; ``tag`` keeps campaign names unique."""
+    return {
+        "estimate": lambda: EstimateRequest(height=16, width=4,
+                                            local_array_size=4, adc_bits=2),
+        "explore": lambda: ExploreRequest(array_size=1024, **FAST),
+        "campaign": lambda: CampaignRequest(name=f"parity-{tag}",
+                                            array_size=1024, **FAST),
+        "flow": lambda: FlowRequest(array_size=256, max_layouts=1, **FAST),
+        "query": lambda: QueryRequest(limit=2),
+        "layout": lambda: LayoutRequest(route_columns=False),
+        "validate-snr": lambda: ValidateSnrRequest(adc_bits=(3,), trials=20),
+        "library": lambda: LibraryRequest(),
+    }[kind]()
+
+
+class TestEnvelopeParity:
+    """The typed methods and submit() run the same envelope step."""
+
+    def test_typed_methods_and_submit_share_one_envelope(self, tmp_path):
+        assert set(TYPED_METHODS) == set(REQUEST_TYPES)
+        config = SessionConfig(store=str(tmp_path / "store.sqlite"))
+        with Session.from_config(config) as session:
+            for kind, method in TYPED_METHODS.items():
+                typed = getattr(session, method)(_small_request(kind, "typed"))
+                submitted = session.submit(
+                    _small_request(kind, "submit").to_dict()
+                )
+                assert list(typed.to_dict()) == list(submitted.to_dict()), kind
+                assert list(typed.engine_stats) == list(
+                    submitted.engine_stats
+                ), kind
+                assert set(typed.payload) == set(submitted.payload), kind
+                assert typed.metrics and submitted.metrics, kind
+                assert typed.runtime_seconds > 0, kind
+                assert "engine.eval.tasks" in typed.metrics, kind
 
 
 class TestLegacyFrontDoorsRemoved:

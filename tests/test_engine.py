@@ -9,6 +9,7 @@ from repro.dse.exhaustive import evaluate_all
 from repro.dse.explorer import _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.engine import (
+    EngineStats,
     EvaluationCache,
     EvaluationEngine,
     parameters_cache_key,
@@ -146,10 +147,10 @@ class TestInlineEvaluation:
     def test_worker_seconds_are_deltas_in_since(self):
         engine = _fresh_engine()
         engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-        baseline = engine.stats.snapshot()
+        baseline = engine.metrics.snapshot()
         engine.cache.clear()
         engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-        delta = engine.stats.since(baseline)
+        delta = EngineStats.from_metrics(engine.metrics.since(baseline))
         assert 0 < delta.worker_seconds < engine.stats.worker_seconds
 
     def test_engine_stats_table_shows_worker_seconds(self):

@@ -17,7 +17,12 @@ from repro.api import ApiResult, EstimateRequest, QueryRequest, Session, Session
 from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.cli import main
-from repro.engine import EvaluationCache, EvaluationEngine, reset_shared_cache
+from repro.engine import (
+    EngineStats,
+    EvaluationCache,
+    EvaluationEngine,
+    reset_shared_cache,
+)
 from repro.flow.report import engine_stats_table, format_table
 from repro.model.estimator import ACIMEstimator
 from repro.obs import (
@@ -329,9 +334,9 @@ class TestEngineStatsByteIdentity:
         engine = _fresh_serial_engine()
         estimator = ACIMEstimator()
         engine.evaluate_specs(estimator, [ACIMDesignSpec(128, 128, 4, 3)])
-        baseline = engine.stats.snapshot()
+        baseline = engine.metrics.snapshot()
         engine.evaluate_specs(estimator, [ACIMDesignSpec(128, 128, 8, 3)])
-        delta = engine.stats.since(baseline)
+        delta = EngineStats.from_metrics(engine.metrics.since(baseline))
         assert delta.batches == 1 and delta.tasks == 1
 
 

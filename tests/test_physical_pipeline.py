@@ -9,7 +9,8 @@ import pytest
 
 from repro.arch.spec import ACIMDesignSpec
 from repro.dse.nsga2 import NSGA2Config
-from repro.api import FlowRequest
+from repro.engine import EvaluationEngine
+from repro.api import FlowRequest, LayoutRequest, Session
 from repro.errors import (
     LayoutError,
     PlacementError,
@@ -22,10 +23,12 @@ from repro.layout.gdsii import write_gds
 from repro.layout.geometry import Rect, Transform
 from repro.layout.layout import LayoutCell
 from repro.netlist.spice import write_spice
+from repro.obs import MetricsRegistry
 from repro.physical import (
     MACRO_STAGE,
     MacroLibrary,
     PhysicalPipeline,
+    PipelineStats,
     artifact_digest,
     layout_from_dict,
     layout_to_dict,
@@ -210,6 +213,85 @@ class TestPipelineReuse:
             f"{result.report.layout.name}.def",
         ])
         assert result.report.gds_path == str(out / f"{result.report.layout.name}.gds")
+
+
+# ---------------------------------------------------------------------------
+# One counter per fact: stats views, envelope keys and registry agree
+# ---------------------------------------------------------------------------
+
+
+#: physical.macro.<rung> counters behind each PipelineStats macro field.
+MACRO_RUNGS = {
+    "macros_built": ("built",),
+    "macros_reused": ("hit.memory", "hit.store"),
+    "macros_derived": ("derive.memory", "derive.store"),
+}
+
+
+class TestOneCounterPerFact:
+    def _check(self, result):
+        """PipelineResult.stats (the layout payload), the flat engine_stats
+        keys and the request's registry delta must tell one story."""
+        physical = result.payload["physical_stats"]
+        delta = result.metrics
+        for field, rungs in MACRO_RUNGS.items():
+            counted = sum(
+                delta.get(f"physical.macro.{rung}", 0) for rung in rungs
+            )
+            assert physical[field] == result.engine_stats[field] == counted
+        for name, stage in physical["stages"].items():
+            assert stage["runs"] == delta.get(f"physical.stage.{name}.runs", 0)
+            assert stage["cache_hits"] == delta.get(
+                f"physical.stage.{name}.cache_hits", 0
+            ) == result.engine_stats[f"stage_{name}_cache_hits"]
+            assert stage["store_hits"] == delta.get(
+                f"physical.stage.{name}.store_hits", 0
+            )
+            assert stage["seconds"] == result.engine_stats[
+                f"stage_{name}_seconds"
+            ]
+        assert PipelineStats.from_metrics(delta).as_dict() == physical
+        return {
+            rung: delta.get(f"physical.macro.{rung}", 0)
+            for rungs in MACRO_RUNGS.values() for rung in rungs
+        }
+
+    @staticmethod
+    def _layout(session, spec):
+        height, width, local, bits = spec.as_tuple()
+        return session.layout(LayoutRequest(
+            height=height, width=width, local_array_size=local,
+            adc_bits=bits, route_columns=True,
+        ))
+
+    def test_cold_warm_derive_and_warm_store_agree(self, tmp_path):
+        engine = EvaluationEngine(metrics=MetricsRegistry())
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            session = Session(engine=engine, store=store)
+            cold = self._check(self._layout(session, SPEC_A))
+            assert cold["built"] == 3 and sum(cold.values()) == 3
+            warm = self._check(self._layout(session, SPEC_A))
+            assert warm["hit.memory"] == 1 and sum(warm.values()) == 1
+            # H doubled: the column derives from the in-memory template,
+            # the local array is reused, the top macro is solved.
+            derive = self._check(self._layout(session, SPEC_C))
+            assert derive == {
+                "built": 1, "hit.memory": 1, "hit.store": 0,
+                "derive.memory": 1, "derive.store": 0,
+            }
+            # A second session on the same registry and warm store: a
+            # fresh pipeline, so the neighbour derives from the store.
+            fresh = Session(engine=engine, store=store)
+            warm_store = self._check(
+                self._layout(fresh, ACIMDesignSpec(16, 4, 4, 1))
+            )
+            assert warm_store["hit.store"] >= 1
+            assert warm_store["derive.store"] >= 1
+            assert warm_store["hit.memory"] == warm_store["derive.memory"] == 0
+            # The cumulative view of the shared registry is the sum of
+            # the four requests.
+            total = PipelineStats.from_metrics(engine.metrics.snapshot())
+            assert total.macros_built == 3 + 1 + warm_store["built"]
 
 
 # ---------------------------------------------------------------------------
