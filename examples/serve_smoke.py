@@ -8,16 +8,19 @@ wire surface with a :class:`~repro.serve.client.ServeClient`:
 
 1. every request kind of the typed catalogue submitted by HTTP as plain
    JSON and polled to a healthy terminal state, across three tenants;
-2. a checkpointed campaign streamed generation-by-generation over SSE,
+2. an explore job and a batch of estimate jobs running concurrently on
+   the one session: each estimate job's ``engine_stats["tasks"]`` must
+   equal its own spec count (no other job's work counted);
+3. a checkpointed campaign streamed generation-by-generation over SSE,
    with a second reader attached mid-flight from a replay cursor
    (both must observe the identical event log);
-3. a long campaign cancelled mid-flight — it must end ``cancelled`` and
+4. a long campaign cancelled mid-flight — it must end ``cancelled`` and
    then *finish* via an HTTP ``resume`` request (the checkpoint
    survives cancellation);
-4. structured rejections: unknown kind, an ill-typed field (a string
+5. structured rejections: unknown kind, an ill-typed field (a string
    where a number belongs), unknown job, and the 429 rate-limit
    envelope with its retry hint;
-5. ``/v1/metrics`` + ``/v1/healthz`` accounting, then a graceful
+6. ``/v1/metrics`` + ``/v1/healthz`` accounting, then a graceful
    drain-and-shutdown (queue refuses new work, in-flight jobs finish,
    the session closes).
 
@@ -46,6 +49,19 @@ MIXED_DOCUMENTS = [
     {"kind": "validate-snr", "adc_bits": [3], "height": 64,
      "local_array_size": 4, "trials": 100},
     {"kind": "library", "report": False},
+]
+
+#: A long-enough explore job to overlap the concurrent estimate batch.
+CONCURRENT_EXPLORE = {
+    "kind": "explore", "array_size": 16384, "population": 32,
+    "generations": 30, "seed": 7,
+}
+
+#: Estimate jobs of one spec and of a B_ADC sweep (one spec per bit).
+CONCURRENT_ESTIMATES = [
+    {"kind": "estimate", "height": 64 * (1 + index % 4), "width": 64,
+     "local_array_size": 4, "adc_bits": 2, "adc_sweep": index % 3 == 0}
+    for index in range(12)
 ]
 
 STREAMED_CAMPAIGN = {
@@ -85,7 +101,23 @@ def main() -> int:
                   f"{document['kind']} status {final['result']['status']!r}")
             print(f"  {document['kind']:<12} done   (tenant {tenant})")
 
-        # 2. streamed campaign + second reader from a cursor --------------
+        # 2. concurrent jobs keep their own engine statistics ------------
+        explore = client.submit(CONCURRENT_EXPLORE, tenant="explorer")
+        estimates = [client.submit(document, tenant="estimator")
+                     for document in CONCURRENT_ESTIMATES]
+        for accepted in estimates:
+            result = client.wait(accepted["job_id"], timeout=300)["result"]
+            specs = len(result["payload"]["metrics"])
+            tasks = result["engine_stats"]["tasks"]
+            check(tasks == specs,
+                  f"estimate of {specs} spec(s) reported {tasks} tasks")
+        final = client.wait(explore["job_id"], timeout=300)
+        check(final["state"] == "done",
+              f"concurrent explore ended {final['state']!r}")
+        print(f"  concurrent   {len(estimates)} estimate jobs beside an "
+              "explore, each counting only its own tasks")
+
+        # 3. streamed campaign + second reader from a cursor --------------
         accepted = client.submit(STREAMED_CAMPAIGN, tenant="streamer",
                                  stream=True)
         job_id = accepted["job_id"]
@@ -106,7 +138,7 @@ def main() -> int:
         print(f"  campaign     streamed {len(generations)} generations, "
               "replay identical")
 
-        # 3. cancel mid-flight, then resume to completion over HTTP -------
+        # 4. cancel mid-flight, then resume to completion over HTTP -------
         doomed = client.submit(CANCELLED_CAMPAIGN, tenant="streamer",
                                stream=True)
         for event in client.stream(doomed["job_id"], timeout=600):
@@ -126,7 +158,7 @@ def main() -> int:
         print("  campaign     cancelled mid-flight, checkpoint resumed by "
               "HTTP")
 
-        # 4. structured rejections ----------------------------------------
+        # 5. structured rejections ----------------------------------------
         try:
             client.submit({"kind": "warp-drive"})
             check(False, "unknown kind was accepted")
@@ -163,7 +195,7 @@ def main() -> int:
         print("  rejections   400 unknown-kind, 400 ill-typed field, "
               "404 unknown-job, 429 rate-limited all structured")
 
-        # 5. metrics, health, graceful shutdown ---------------------------
+        # 6. metrics, health, graceful shutdown ---------------------------
         metrics = client.metrics()
         submitted = metrics["metrics"]["serve.jobs.submitted"]
         check(submitted >= len(MIXED_DOCUMENTS) + 3,

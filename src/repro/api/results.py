@@ -39,9 +39,9 @@ class ApiResult:
         engine_stats: evaluation-engine statistics of this call (plus the
             flattened pipeline keys on physical workflows).
         runtime_seconds: wall-clock of this call (monotonic clock).
-        metrics: per-request delta of the session metrics registry
-            (``repro.obs`` names -> values; histograms as documents).
-            ``engine_stats`` is a view of this same delta.
+        metrics: what this call recorded into the session metrics
+            registry (``repro.obs`` names -> values; histograms as
+            documents).  ``engine_stats`` is a view of the same figures.
         trace_id: id of the active trace during this call (None when
             tracing was disabled).
         artifacts: rich in-process objects backing the payload; excluded

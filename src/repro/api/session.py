@@ -141,14 +141,16 @@ def _enveloped(handler: Callable) -> Callable:
     """The one envelope step every request runs through.
 
     Validates the request, runs ``handler`` inside an ``api.<kind>``
-    root span and fills the handler's :class:`ApiResult` from a single
-    snapshot of the session registry: ``runtime_seconds``, ``metrics``
-    (the registry delta of the call), ``engine_stats`` (the
-    :class:`EngineStats` view of that delta, plus — when the payload
-    carries ``physical_stats`` — the flattened pipeline keys of its
-    :class:`PipelineStats` view) and the active ``trace_id``.  The typed
-    methods (``session.explore(request)``, ...) and :meth:`Session.submit`
-    are the same wrapped callables, so both return the same envelope.
+    root span and a :meth:`~repro.obs.MetricsRegistry.scope` of the
+    session registry, and fills the handler's :class:`ApiResult` from
+    that one scope: ``runtime_seconds``, ``metrics`` (what the call
+    recorded), ``engine_stats`` (the :class:`EngineStats` view of it,
+    plus — when the payload carries ``physical_stats`` — the flattened
+    pipeline keys of its :class:`PipelineStats` view) and the active
+    ``trace_id``.  Other threads' work on the same session is not
+    counted.  The typed methods (``session.explore(request)``, ...) and
+    :meth:`Session.submit` are the same wrapped callables, so both
+    return the same envelope.
     """
 
     @functools.wraps(handler)
@@ -156,16 +158,15 @@ def _enveloped(handler: Callable) -> Callable:
         request.validate()
         tracer = get_tracer()
         start = time.perf_counter()
-        baseline = self.metrics.snapshot()
-        with tracer.span(f"api.{request.kind}"):
+        with self.metrics.scope() as scope, tracer.span(f"api.{request.kind}"):
             result = handler(self, request)
-        delta = self.metrics.since(baseline)
+        recorded = scope.read()
         result.runtime_seconds = time.perf_counter() - start
-        result.metrics = delta
-        result.engine_stats = EngineStats.from_metrics(delta).as_dict()
+        result.metrics = recorded
+        result.engine_stats = EngineStats.from_metrics(recorded).as_dict()
         if result.payload.get("physical_stats"):
             result.engine_stats.update(
-                _flat_physical_stats(PipelineStats.from_metrics(delta))
+                _flat_physical_stats(PipelineStats.from_metrics(recorded))
             )
         if tracer.enabled:
             result.trace_id = tracer.trace_id
@@ -219,9 +220,9 @@ class Session:
         self.config = (config or SessionConfig()).validate()
         # One registry spans the whole session: the engine, the store and
         # the physical pipeline all record into it, so submit() can attach
-        # a single cross-subsystem metrics delta to each result.  A
+        # a single cross-subsystem metrics scope to each result.  A
         # borrowed engine brings its own registry (its owner may already
-        # be diffing it); the session joins rather than replaces it.
+        # be reading it); the session joins rather than replaces it.
         self.metrics: MetricsRegistry = (
             engine.metrics if engine is not None else MetricsRegistry()
         )
@@ -337,7 +338,7 @@ class Session:
         """Execute any request (typed object or its dict form).
 
         Dispatches to the typed method of the request's kind, so the
-        envelope — per-request metrics delta, engine statistics and, when
+        envelope — per-request metrics scope, engine statistics and, when
         tracing is enabled, the trace id of the ``api.<kind>`` root span
         — is the one the typed method returns.
         """

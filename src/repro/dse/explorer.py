@@ -153,11 +153,13 @@ class _ExplorerCore:
             power_of_two_heights=self.power_of_two_heights,
         )
         optimizer = NSGA2(problem, self.config)
-        stats_baseline = engine.metrics.snapshot()
-        start = time.perf_counter()
-        final_population = optimizer.run()
-        runtime = time.perf_counter() - start
-        pareto_set = pareto_designs_from_population(problem, final_population)
+        with engine.metrics.scope() as scope:
+            start = time.perf_counter()
+            final_population = optimizer.run()
+            runtime = time.perf_counter() - start
+            pareto_set = pareto_designs_from_population(
+                problem, final_population
+            )
         return ExplorationResult(
             array_size=array_size,
             pareto_set=pareto_set,
@@ -165,9 +167,7 @@ class _ExplorerCore:
             generations=self.config.generations,
             runtime_seconds=runtime,
             history=optimizer.history,
-            engine_stats=EngineStats.from_metrics(
-                engine.metrics.since(stats_baseline)
-            ).as_dict(),
+            engine_stats=EngineStats.from_metrics(scope.read()).as_dict(),
         )
 
     def explore_many(

@@ -10,9 +10,8 @@ older revisions could never avoid.
 
 Thread-safety model: evaluation runs in the calling process, so the
 cache needs a lock only against concurrent *threads* (a server's job
-workers and any user threads).  The lock is excluded from pickling so a
-cache-bearing object can still cross a process boundary if a consumer
-ships one.
+workers and any user threads).  Hits are counted once, by the engine,
+as the ``engine.cache.hit`` metric.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 #: Default capacity of the shared cache — a few hundred array sizes' worth
 #: of full design spaces (a 16 kb space has ~300 feasible points).
@@ -32,7 +31,9 @@ def parameters_cache_key(parameters) -> Tuple:
 
     ``dataclasses.astuple`` recurses into the nested frozen parameter
     bundles, producing a flat tuple of floats/bools that identifies the
-    model constants independent of object identity.
+    model constants independent of object identity.  It is not cheap
+    (a deep copy of the bundle), so each estimator computes it once, as
+    ``ACIMEstimator.parameters_key``.
     """
     return dataclasses.astuple(parameters)
 
@@ -58,9 +59,9 @@ def spec_cache_key(
 ) -> Tuple:
     """Cache key of one evaluation: ``(spec, model-params, tech)``.
 
-    Pass ``params_key`` (a precomputed :func:`parameters_cache_key`) when
-    keying many specs against the same bundle — the engine's batch path
-    does — so the bundle is flattened once per batch instead of per spec.
+    Pass ``params_key`` (a precomputed :func:`parameters_cache_key`, such
+    as ``ACIMEstimator.parameters_key``) when keying many specs against
+    the same bundle, so the bundle is not flattened per spec.
     """
     if params_key is None:
         params_key = parameters_cache_key(parameters)
@@ -68,7 +69,7 @@ def spec_cache_key(
 
 
 class EvaluationCache:
-    """A bounded LRU cache with hit/miss statistics.
+    """A bounded LRU cache.
 
     Attributes:
         max_size: capacity; the least recently used entry is evicted first.
@@ -82,20 +83,15 @@ class EvaluationCache:
         self.max_size = max_size
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     # -- mapping operations ---------------------------------------------------
 
     def get(self, key: Hashable, default=None):
-        """Look up ``key``, refreshing its recency; counts a hit or miss."""
+        """Look up ``key``, refreshing its recency."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._hits += 1
                 return self._entries[key]
-            self._misses += 1
             return default
 
     def put(self, key: Hashable, value) -> None:
@@ -106,7 +102,6 @@ class EvaluationCache:
             self._entries[key] = value
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
-                self._evictions += 1
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -117,45 +112,9 @@ class EvaluationCache:
             return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
-
-    # -- statistics -----------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Number of successful lookups so far."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Number of failed lookups so far."""
-        return self._misses
-
-    def stats(self) -> Dict[str, float]:
-        """Hit/miss/eviction counters plus occupancy, as a flat dict."""
-        with self._lock:
-            total = self._hits + self._misses
-            return {
-                "size": len(self._entries),
-                "max_size": self.max_size,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "hit_rate": (self._hits / total) if total else 0.0,
-            }
-
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 _shared_cache: Optional[EvaluationCache] = None

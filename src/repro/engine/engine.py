@@ -29,7 +29,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.arch.batch import SpecBatch
 from repro.engine.cache import (
     EvaluationCache,
-    parameters_cache_key,
     shared_cache,
     spec_tuple_cache_key,
 )
@@ -42,9 +41,9 @@ class EngineStats:
     """Read-only view of an engine's counters in a metrics registry.
 
     Built by :meth:`from_metrics` from a registry snapshot (cumulative
-    totals, :attr:`EvaluationEngine.stats`) or from a ``since()`` delta
-    (one run or one request); the counters themselves live only in the
-    registry.
+    totals, :attr:`EvaluationEngine.stats`) or from a
+    :meth:`~repro.obs.MetricsRegistry.scope` (one run or one request);
+    the counters themselves live only in the registry.
 
     Attributes:
         batches: number of ``evaluate_specs`` batch submissions.
@@ -67,7 +66,7 @@ class EngineStats:
 
     @classmethod
     def from_metrics(cls, values: Mapping[str, object]) -> "EngineStats":
-        """The view of a registry snapshot or delta.
+        """The view of a registry snapshot or scope.
 
         The ``int()``/``float()`` coercions matter: registry counters
         start as int ``0``, and ``as_dict()`` must keep emitting ``0.0``
@@ -162,7 +161,7 @@ class EvaluationEngine:
         """Cumulative batch/cache/timing statistics of this engine.
 
         A view of the registry's current totals; per-run figures are
-        :meth:`EngineStats.from_metrics` of a ``metrics.since()`` delta.
+        :meth:`EngineStats.from_metrics` of a ``metrics.scope()``.
         """
         return EngineStats.from_metrics(self.metrics.snapshot())
 
@@ -196,7 +195,7 @@ class EvaluationEngine:
             with get_tracer().span(
                 "engine.evaluate_specs", count=len(tuples)
             ) as eval_span:
-                params_key = parameters_cache_key(estimator.parameters)
+                params_key = estimator.parameters_key
                 keys = [
                     spec_tuple_cache_key(spec_tuple, params_key)
                     for spec_tuple in tuples

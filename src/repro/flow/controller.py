@@ -209,41 +209,41 @@ class _FlowCore:
             output_dir: where to export GDS/DEF when layouts are generated.
         """
         start = time.perf_counter()
-        engine_baseline = self.engine.metrics.snapshot()
-        exploration = self.explore()
-        distilled = self.distill(exploration)
-        result = FlowResult(
-            inputs=self.inputs,
-            exploration=exploration,
-            distilled=distilled,
-        )
-        selected = distilled[: self.inputs.max_layouts]
-        if selected and (generate_netlists or generate_layouts):
-            # Every solution runs through the one pipeline, so identical
-            # sub-macros are solved once and every later design (and
-            # every later flow run on this pipeline/store) instantiates
-            # them from the cache.
-            pipeline_baseline = self.pipeline.metrics.snapshot()
-            for design in selected:
-                spec = design.spec
-                product = self.pipeline.run(
-                    spec,
-                    generate_netlist=generate_netlists,
-                    generate_layout=generate_layouts,
-                    route_columns=route_columns,
-                    output_dir=output_dir,
-                )
-                if product.netlist is not None:
-                    result.netlists[spec.as_tuple()] = product.netlist
-                if product.report is not None:
-                    result.layouts[spec.as_tuple()] = product.report
-            result.physical_stats = PipelineStats.from_metrics(
-                self.pipeline.metrics.since(pipeline_baseline)
-            ).as_dict()
-        if self.inputs.store is not None:
-            self._record_campaign(exploration, result.physical_stats)
+        with self.engine.metrics.scope() as engine_scope, \
+                self.pipeline.metrics.scope() as pipeline_scope:
+            exploration = self.explore()
+            distilled = self.distill(exploration)
+            result = FlowResult(
+                inputs=self.inputs,
+                exploration=exploration,
+                distilled=distilled,
+            )
+            selected = distilled[: self.inputs.max_layouts]
+            if selected and (generate_netlists or generate_layouts):
+                # Every solution runs through the one pipeline, so
+                # identical sub-macros are solved once and every later
+                # design (and every later flow run on this
+                # pipeline/store) instantiates them from the cache.
+                for design in selected:
+                    spec = design.spec
+                    product = self.pipeline.run(
+                        spec,
+                        generate_netlist=generate_netlists,
+                        generate_layout=generate_layouts,
+                        route_columns=route_columns,
+                        output_dir=output_dir,
+                    )
+                    if product.netlist is not None:
+                        result.netlists[spec.as_tuple()] = product.netlist
+                    if product.report is not None:
+                        result.layouts[spec.as_tuple()] = product.report
+                result.physical_stats = PipelineStats.from_metrics(
+                    pipeline_scope.read()
+                ).as_dict()
+            if self.inputs.store is not None:
+                self._record_campaign(exploration, result.physical_stats)
         result.engine_stats = EngineStats.from_metrics(
-            self.engine.metrics.since(engine_baseline)
+            engine_scope.read()
         ).as_dict()
         result.runtime_seconds = time.perf_counter() - start
         return result

@@ -20,6 +20,7 @@ import numpy as np
 from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.arch.timing import TimingParameters
+from repro.engine.cache import parameters_cache_key
 from repro.model.area import AreaModel, AreaParameters
 from repro.model.energy import EnergyModel, EnergyParameters
 from repro.model.notation import WorkloadStatistics
@@ -208,28 +209,24 @@ class ACIMEstimator:
     The batch path (:meth:`evaluate_batch` / :meth:`evaluate_arrays`) runs
     the vectorized NumPy kernels of the four sub-models: a batch of N
     design points costs a handful of array kernel calls instead of N
-    Python model traversals.  The scalar-formula implementation is retained
-    as the *reference* path (:meth:`evaluate_reference` /
-    :meth:`evaluate_batch_reference`): the parity suite asserts the two
-    agree within 1e-12 relative on every metric, and the benchmark harness
-    uses it as the scalar-loop baseline.
+    Python model traversals.  The scalar formulas of :meth:`evaluate` are
+    the *reference* path (:meth:`evaluate_batch_reference` loops over
+    them): the parity suite asserts the two agree within 1e-12 relative
+    on every metric, and the benchmark harness uses the loop as the
+    scalar baseline.
 
     Args:
         parameters: model constants; defaults to the stock bundle.
-        kernel: ``"vectorized"`` (default) routes batches through the NumPy
-            kernels; ``"reference"`` forces the scalar loop everywhere
-            (regression/verification use only).
+
+    Attributes:
+        parameters_key: the bundle's evaluation-cache key
+            (:func:`~repro.engine.cache.parameters_cache_key`), computed
+            once here because the engine keys every batch with it.
     """
 
-    def __init__(
-        self,
-        parameters: Optional[ModelParameters] = None,
-        kernel: str = "vectorized",
-    ) -> None:
-        if kernel not in ("vectorized", "reference"):
-            raise ValueError(f"unknown estimator kernel {kernel!r}")
+    def __init__(self, parameters: Optional[ModelParameters] = None) -> None:
         self.parameters = parameters or ModelParameters()
-        self.kernel = kernel
+        self.parameters_key = parameters_cache_key(self.parameters)
         self._snr = SnrModel(self.parameters.snr, self.parameters.workload)
         self._throughput = ThroughputModel(self.parameters.timing)
         self._energy = EnergyModel(self.parameters.energy)
@@ -344,8 +341,6 @@ class ACIMEstimator:
         :class:`~repro.engine.engine.EvaluationEngine` drives for
         population batches and exhaustive grids.
         """
-        if self.kernel == "reference":
-            return self.evaluate_batch_reference(specs)
         if isinstance(specs, SpecBatch):
             batch, spec_objects = specs, None
         else:
@@ -355,55 +350,22 @@ class ACIMEstimator:
 
     # -- scalar reference path -------------------------------------------------
 
-    def evaluate_reference(self, spec: ACIMDesignSpec) -> ACIMMetrics:
-        """Scalar-formula reference evaluation of one spec (parity baseline)."""
-        return self.evaluate_batch_reference([spec])[0]
-
     def evaluate_batch_reference(
         self, specs: Union[SpecBatch, Sequence[ACIMDesignSpec]]
     ) -> List[ACIMMetrics]:
-        """The pre-vectorization scalar loop, retained as parity reference.
+        """The scalar loop: :meth:`evaluate` once per unique spec.
 
-        Evaluates every spec through the plain-``math`` sub-models with the
-        spec-independent lookups hoisted and duplicates deduplicated — the
-        baseline the benchmark harness and the 1e-12 parity suite compare
-        the array kernels against.
+        The baseline the benchmark harness and the 1e-12 parity suite
+        compare the array kernels against; duplicates share one record.
         """
         if isinstance(specs, SpecBatch):
             specs = specs.to_specs()
-        snr_model = self._snr
-        snr_objective = (
-            snr_model.simplified_snr_db
-            if self.parameters.use_simplified_snr
-            else snr_model.design_snr_db
-        )
-        total_snr = snr_model.total_snr_db
-        throughput_breakdown = self._throughput.breakdown
-        energy_breakdown = self._energy.breakdown
-        area_breakdown = self._area.breakdown
-
         unique: Dict[ACIMDesignSpec, ACIMMetrics] = {}
         results: List[ACIMMetrics] = []
         for spec in specs:
             metrics = unique.get(spec)
             if metrics is None:
-                spec.validate()
-                n = spec.local_arrays_per_column
-                throughput = throughput_breakdown(spec)
-                energy = energy_breakdown(spec)
-                area = area_breakdown(spec)
-                metrics = ACIMMetrics(
-                    spec=spec,
-                    snr_db=snr_objective(spec.adc_bits, n),
-                    snr_total_db=total_snr(spec.adc_bits, n),
-                    tops=throughput.tops,
-                    macs_per_second=throughput.macs_per_second,
-                    energy_per_mac=energy.total_per_mac,
-                    tops_per_watt=energy.tops_per_watt,
-                    area_f2_per_bit=area.per_bit,
-                    total_area_um2=area.total_um2,
-                )
-                unique[spec] = metrics
+                metrics = unique[spec] = self.evaluate(spec)
             results.append(metrics)
         return results
 

@@ -12,7 +12,6 @@ from .metrics import (
     MetricsRegistry,
     SECONDS_BUCKETS,
     SIZE_BUCKETS,
-    counters_only,
 )
 from .trace import (
     DEFAULT_MAX_SPANS,
@@ -35,7 +34,6 @@ __all__ = [
     "Span",
     "Tracer",
     "configure_tracing",
-    "counters_only",
     "export_chrome",
     "export_jsonl",
     "get_tracer",

@@ -4,15 +4,20 @@
 layer (:mod:`repro.obs.trace` is the temporal half): a flat, thread-safe
 namespace of named instruments that every subsystem — the evaluation
 engine, the physical pipeline, the result store, the campaign loop —
-records into.  Consumers read it two ways:
+records into.  Consumers read it three ways:
 
 * **snapshots** — :meth:`MetricsRegistry.snapshot` returns a plain,
-  JSON-serializable dictionary of every instrument's current value, and
-  :meth:`MetricsRegistry.since` diffs two snapshots into a per-call
-  delta (the shape :meth:`repro.api.Session.submit` attaches to every
-  :class:`~repro.api.results.ApiResult`);
+  JSON-serializable dictionary of every instrument's current value
+  (the registry's totals);
+* **scopes** — ``with registry.scope() as scope:`` records, next to the
+  totals, what the current context adds or observes while the scope is
+  open; :meth:`MetricsScope.read` returns it in the snapshot's shape
+  (the per-call figures :meth:`repro.api.Session.submit` attaches to
+  every :class:`~repro.api.results.ApiResult`).  Scopes live in a
+  :mod:`contextvars` variable, so work other threads do meanwhile —
+  including threads started inside the scope — is not counted;
 * **typed views** — ``EngineStats`` and ``PipelineStats`` are read-only
-  views built ``from_metrics()`` of a snapshot or delta (see
+  views built ``from_metrics()`` of a snapshot or a scope (see
   :mod:`repro.engine.engine` and :mod:`repro.physical.artifacts`), so
   each fact is counted once, here.
 
@@ -31,7 +36,8 @@ Metric names are dotted lowercase paths (``engine.cache.hit``,
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from contextvars import ContextVar
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -42,6 +48,12 @@ SECONDS_BUCKETS: Tuple[float, ...] = (
 
 #: Default histogram bucket upper bounds for batch-size observations.
 SIZE_BUCKETS: Tuple[float, ...] = (1, 8, 32, 128, 512, 2048, 8192)
+
+#: The scopes open in the current context, outermost first.  A new
+#: thread starts with none: it records into the registries' totals only.
+_OPEN_SCOPES: ContextVar[Tuple["MetricsScope", ...]] = ContextVar(
+    "repro_metrics_scopes", default=()
+)
 
 
 class Counter:
@@ -58,6 +70,10 @@ class Counter:
         """Accumulate ``amount`` (negative amounts are a caller bug)."""
         with self._lock:
             self._value += amount
+        for scope in _OPEN_SCOPES.get():
+            if scope.lock is self._lock:
+                recorded = scope.recorded
+                recorded[self.name] = recorded.get(self.name, 0) + amount
 
     def inc(self) -> None:
         """Accumulate 1."""
@@ -71,9 +87,10 @@ class Counter:
     def snapshot_value(self) -> Number:
         return self._value
 
-    @staticmethod
-    def delta(current: Number, baseline: Optional[Number]) -> Number:
-        return current - (baseline or 0)
+    def scoped_value(self, recorded: Optional[Number]) -> Number:
+        # Zero of the total's own type, so an idle seconds counter
+        # reads 0.0, as its snapshot would.
+        return type(self._value)() if recorded is None else recorded
 
 
 class Gauge:
@@ -98,11 +115,10 @@ class Gauge:
     def snapshot_value(self) -> Number:
         return self._value
 
-    @staticmethod
-    def delta(current: Number, baseline: Optional[Number]) -> Number:
-        # A gauge is a level, not a flow: the delta view reports the
-        # current level rather than a meaningless difference.
-        return current
+    def scoped_value(self, recorded: None) -> Number:
+        # A gauge is a level, not a flow: a scope reports the current
+        # level (sets are never recorded per scope).
+        return self._value
 
 
 class Histogram:
@@ -145,6 +161,16 @@ class Histogram:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+        for scope in _OPEN_SCOPES.get():
+            if scope.lock is self._lock:
+                recorded = scope.recorded.get(self.name)
+                if recorded is None:
+                    recorded = scope.recorded[self.name] = [
+                        0, 0.0, [0] * len(self._counts)
+                    ]
+                recorded[0] += 1
+                recorded[1] += value
+                recorded[2][index] += 1
 
     @property
     def count(self) -> int:
@@ -155,29 +181,21 @@ class Histogram:
         return self._sum
 
     def snapshot_value(self) -> Dict[str, object]:
+        return self._document(self._count, self._sum, self._counts)
+
+    def scoped_value(self, recorded: Optional[List]) -> Dict[str, object]:
+        count, total, counts = recorded or (0, 0.0, [0] * len(self._counts))
+        return self._document(count, total, counts)
+
+    def _document(
+        self, count: int, total: float, counts: List[int]
+    ) -> Dict[str, object]:
         labels = [*self.bounds, "inf"]
         return {
-            "count": self._count,
-            "sum": self._sum,
+            "count": count,
+            "sum": total,
             "buckets": [
-                [label, count]
-                for label, count in zip(labels, list(self._counts))
-            ],
-        }
-
-    @staticmethod
-    def delta(current: Dict, baseline: Optional[Dict]) -> Dict:
-        if not baseline:
-            return current
-        base_counts = {
-            label: count for label, count in baseline.get("buckets", [])
-        }
-        return {
-            "count": current["count"] - baseline.get("count", 0),
-            "sum": current["sum"] - baseline.get("sum", 0.0),
-            "buckets": [
-                [label, count - base_counts.get(label, 0)]
-                for label, count in current["buckets"]
+                [label, bucket] for label, bucket in zip(labels, counts)
             ],
         }
 
@@ -188,8 +206,8 @@ class MetricsRegistry:
     Instruments are created on first use and live for the registry's
     lifetime; asking for an existing name returns the existing instrument
     (a kind mismatch raises).  Long-lived registries accumulate forever;
-    a consumer that wants one run's figures takes a ``snapshot()`` before
-    it and reads the ``since()`` delta after it.
+    a consumer that wants one run's figures runs it inside a
+    :meth:`scope` and reads the scope.
     """
 
     def __init__(self) -> None:
@@ -257,27 +275,55 @@ class MetricsRegistry:
                 for name, instrument in sorted(self._instruments.items())
             }
 
-    def since(self, baseline: Dict[str, object]) -> Dict[str, object]:
-        """Per-instrument deltas relative to an earlier :meth:`snapshot`.
+    def scope(self) -> "MetricsScope":
+        """A context manager recording what this context adds from here.
 
-        Counters and histograms diff; gauges report their current level.
-        Instruments created after the baseline appear with their full
-        value (their baseline is implicitly zero).
+        ``with registry.scope() as scope: ...`` then ``scope.read()``.
+        Scopes nest: every open scope of this registry in the current
+        context records each add and observation.
         """
-        deltas: Dict[str, object] = {}
-        with self._lock:
-            items = list(sorted(self._instruments.items()))
-        for name, instrument in items:
-            deltas[name] = type(instrument).delta(
-                instrument.snapshot_value(), baseline.get(name)
-            )
-        return deltas
+        return MetricsScope(self)
 
 
-def counters_only(snapshot: Dict[str, object]) -> Dict[str, Number]:
-    """The scalar subset of a snapshot/delta (drops histogram documents)."""
-    return {
-        name: value
-        for name, value in snapshot.items()
-        if isinstance(value, (int, float))
-    }
+class MetricsScope:
+    """What one context recorded into a registry while the scope was open.
+
+    Counter adds and histogram observations made in the context that
+    opened the scope land in ``recorded`` (plain numbers and
+    ``[count, sum, bucket counts]`` lists, keyed by metric name) as well
+    as in the registry's totals.  Work of other threads, and of threads
+    started inside the scope, is not recorded.
+    """
+
+    __slots__ = ("_registry", "lock", "recorded", "_token")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        # The registry's lock doubles as its identity: every instrument
+        # of the registry holds the same one.
+        self.lock = registry._lock
+        self.recorded: Dict[str, object] = {}
+        self._token = None
+
+    def __enter__(self) -> "MetricsScope":
+        self._token = _OPEN_SCOPES.set(_OPEN_SCOPES.get() + (self,))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _OPEN_SCOPES.reset(self._token)
+
+    def read(self) -> Dict[str, object]:
+        """One entry per registered instrument, in the snapshot's shape.
+
+        Counters and histograms hold what this scope recorded (zero of
+        the instrument's own type when it recorded nothing); gauges
+        report their current level.
+        """
+        registry = self._registry
+        with registry._lock:
+            items = sorted(registry._instruments.items())
+        recorded = self.recorded
+        return {
+            name: instrument.scoped_value(recorded.get(name))
+            for name, instrument in items
+        }

@@ -70,8 +70,8 @@ class PipelineStats:
     """Per-stage statistics of a :class:`PhysicalPipeline` (a read-only view).
 
     Built by :meth:`from_metrics` from the ``physical.*`` counters of a
-    metrics-registry snapshot or ``since()`` delta, so a run, a flow and
-    a request all read the one set of counters the pipeline records.
+    metrics-registry snapshot or scope, so a run, a flow and a request
+    all read the one set of counters the pipeline records.
     """
 
     stages: Mapping[str, StageStats] = field(
@@ -83,7 +83,7 @@ class PipelineStats:
 
     @classmethod
     def from_metrics(cls, values: Mapping[str, object]) -> "PipelineStats":
-        """The view of a registry snapshot or delta."""
+        """The view of a registry snapshot or scope."""
         def count(name: str) -> int:
             return int(values.get(name, 0))
 

@@ -171,20 +171,20 @@ class PhysicalPipeline:
                 written to; ``None`` keeps the layout in memory only.
         """
         spec.validate()
-        baseline = self.metrics.snapshot()
         netlist = None
-        if generate_netlist:
-            netlist = self._netlist_stage(spec)
         report = None
-        if generate_layout:
-            report = self._layout_stages(spec, route_columns)
-            if output_dir is not None:
-                self._export_stage(report, output_dir)
+        with self.metrics.scope() as scope:
+            if generate_netlist:
+                netlist = self._netlist_stage(spec)
+            if generate_layout:
+                report = self._layout_stages(spec, route_columns)
+                if output_dir is not None:
+                    self._export_stage(report, output_dir)
         return PipelineResult(
             spec=spec,
             netlist=netlist,
             report=report,
-            stats=PipelineStats.from_metrics(self.metrics.since(baseline)),
+            stats=PipelineStats.from_metrics(scope.read()),
         )
 
     # -- stage: netlist ----------------------------------------------------------------

@@ -26,12 +26,7 @@ from repro.dse.distill import DistillationCriteria
 from repro.dse.explorer import pareto_designs_from_population
 from repro.dse.nsga2 import NSGA2, NSGA2Config
 from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.engine import (
-    EngineStats,
-    EvaluationEngine,
-    parameters_cache_key,
-    spec_cache_key,
-)
+from repro.engine import EngineStats, EvaluationEngine, spec_cache_key
 from repro.errors import StoreError
 from repro.model.estimator import ACIMEstimator
 from repro.store.result_store import (
@@ -135,7 +130,7 @@ class _CampaignManagerCore:
     @property
     def params_digest(self) -> str:
         """Content address of this manager's model-parameter bundle."""
-        return params_digest_of(parameters_cache_key(self.estimator.parameters))
+        return params_digest_of(self.estimator.parameters_key)
 
     # -- run / resume ----------------------------------------------------------
 
@@ -224,77 +219,75 @@ class _CampaignManagerCore:
         config = NSGA2Config(**_nsga2_fields(campaign_config))
         start = time.perf_counter()
         engine = self.engine or EvaluationEngine(store=self.store)
-        stats_baseline = engine.metrics.snapshot()
-        problem = ACIMDesignProblem(
-            array_size,
-            estimator=self.estimator,
-            local_array_sizes=tuple(campaign_config["local_array_sizes"]),
-            max_adc_bits=campaign_config["max_adc_bits"],
-            min_height=campaign_config["min_height"],
-            max_height=campaign_config["max_height"],
-            engine=engine,
-        )
-        optimizer = NSGA2(problem, config)
-        if checkpoint is not None:
-            optimizer.restore_state(checkpoint[1])
-        else:
-            optimizer.initialize()
-            self.store.save_checkpoint(name, 0, optimizer.state())
-        # The run-time cadence travels with the campaign so a resumed
-        # leg keeps the commit cost profile the run was started with.
-        checkpoint_every = int(
-            campaign_config.get("checkpoint_every", self.checkpoint_every)
-        )
-        steps_this_call = 0
-        generation_seconds = engine.metrics.histogram(
-            "campaign.generation.seconds"
-        )
-        generation_counter = engine.metrics.counter(
-            "campaign.generations"
-        )
-        while not optimizer.done:
-            if stop_after is not None and steps_this_call >= stop_after:
-                break
-            step_start = time.perf_counter()
-            optimizer.step()
-            generation_seconds.observe(time.perf_counter() - step_start)
-            generation_counter.inc()
-            steps_this_call += 1
-            stopping = (
-                stop_after is not None and steps_this_call >= stop_after
+        with engine.metrics.scope() as scope:
+            problem = ACIMDesignProblem(
+                array_size,
+                estimator=self.estimator,
+                local_array_sizes=tuple(campaign_config["local_array_sizes"]),
+                max_adc_bits=campaign_config["max_adc_bits"],
+                min_height=campaign_config["min_height"],
+                max_height=campaign_config["max_height"],
+                engine=engine,
             )
-            if (
-                optimizer.done
-                or stopping
-                or optimizer.generation % checkpoint_every == 0
-            ):
-                self.store.save_checkpoint(
-                    name, optimizer.generation, optimizer.state()
+            optimizer = NSGA2(problem, config)
+            if checkpoint is not None:
+                optimizer.restore_state(checkpoint[1])
+            else:
+                optimizer.initialize()
+                self.store.save_checkpoint(name, 0, optimizer.state())
+            # The run-time cadence travels with the campaign so a resumed
+            # leg keeps the commit cost profile the run was started with.
+            checkpoint_every = int(
+                campaign_config.get("checkpoint_every", self.checkpoint_every)
+            )
+            steps_this_call = 0
+            generation_seconds = engine.metrics.histogram(
+                "campaign.generation.seconds"
+            )
+            generation_counter = engine.metrics.counter(
+                "campaign.generations"
+            )
+            while not optimizer.done:
+                if stop_after is not None and steps_this_call >= stop_after:
+                    break
+                step_start = time.perf_counter()
+                optimizer.step()
+                generation_seconds.observe(time.perf_counter() - step_start)
+                generation_counter.inc()
+                steps_this_call += 1
+                stopping = (
+                    stop_after is not None and steps_this_call >= stop_after
                 )
-            if stopping:
-                break
-        pareto_set: List[EvaluatedDesign] = []
-        if optimizer.done:
-            status = "completed"
-            pareto_set = pareto_designs_from_population(
-                problem, optimizer.result()
+                if (
+                    optimizer.done
+                    or stopping
+                    or optimizer.generation % checkpoint_every == 0
+                ):
+                    self.store.save_checkpoint(
+                        name, optimizer.generation, optimizer.state()
+                    )
+                if stopping:
+                    break
+            pareto_set: List[EvaluatedDesign] = []
+            if optimizer.done:
+                status = "completed"
+                pareto_set = pareto_designs_from_population(
+                    problem, optimizer.result()
+                )
+                self.store.save_pareto(
+                    name, _pareto_entries(pareto_set, self.estimator)
+                )
+            else:
+                status = "interrupted"
+            runtime = time.perf_counter() - start
+            self.store.update_campaign(
+                name,
+                status=status,
+                generations_done=optimizer.generation,
+                evaluations=optimizer.evaluations,
+                add_runtime_seconds=runtime,
             )
-            self.store.save_pareto(
-                name, _pareto_entries(pareto_set, self.estimator)
-            )
-        else:
-            status = "interrupted"
-        runtime = time.perf_counter() - start
-        self.store.update_campaign(
-            name,
-            status=status,
-            generations_done=optimizer.generation,
-            evaluations=optimizer.evaluations,
-            add_runtime_seconds=runtime,
-        )
-        stats_delta = EngineStats.from_metrics(
-            engine.metrics.since(stats_baseline)
-        ).as_dict()
+        stats_delta = EngineStats.from_metrics(scope.read()).as_dict()
         run_row = _run_metrics_row(
             status, steps_this_call, runtime, stats_delta
         )
@@ -372,7 +365,7 @@ def _pareto_entries(
     designs: Sequence[EvaluatedDesign], estimator: ACIMEstimator
 ) -> List[Tuple[Tuple, object]]:
     """(engine cache key, metrics) pairs of a Pareto set, for persistence."""
-    params_key = parameters_cache_key(estimator.parameters)
+    params_key = estimator.parameters_key
     return [
         (spec_cache_key(design.spec, params_key=params_key), design.metrics)
         for design in designs
@@ -431,9 +424,7 @@ def record_exploration(
         name,
         array_size=exploration.array_size,
         config=campaign_config,
-        params_digest=params_digest_of(
-            parameters_cache_key(estimator.parameters)
-        ),
+        params_digest=params_digest_of(estimator.parameters_key),
         status="completed",
         generations_done=exploration.generations,
         total_generations=config.generations,

@@ -17,16 +17,17 @@ from repro.engine import (
 )
 from repro.errors import EngineError, SpecificationError
 from repro.model.estimator import ACIMEstimator, METRIC_FIELDS, ModelParameters
+from repro.store.result_store import key_digest, params_digest_of
 
 
 class TestEvaluationCache:
     def test_miss_then_hit(self):
         cache = EvaluationCache(max_size=4)
         assert cache.get("a") is None
+        assert cache.get("a", "default") == "default"
         cache.put("a", 1)
         assert cache.get("a") == 1
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert "a" in cache and len(cache) == 1
 
     def test_bounded_lru_eviction(self):
         cache = EvaluationCache(max_size=2)
@@ -37,7 +38,6 @@ class TestEvaluationCache:
         assert len(cache) == 2
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.stats()["evictions"] == 1
 
     def test_invalid_size_rejected(self):
         with pytest.raises(EngineError):
@@ -49,6 +49,25 @@ class TestEvaluationCache:
         assert parameters_cache_key(base) != parameters_cache_key(calibrated)
         spec = ACIMDesignSpec(64, 16, 2, 4)
         assert spec_cache_key(spec, base) != spec_cache_key(spec, calibrated)
+
+    def test_estimator_keys_its_bundle_once_with_stable_digests(self):
+        # Store rows are addressed by the SHA-256 of the full key, so the
+        # key an estimator computes at construction must keep the digests
+        # existing stores were written with.
+        estimator = ACIMEstimator()
+        assert estimator.parameters_key == parameters_cache_key(
+            ModelParameters()
+        )
+        key = spec_cache_key(
+            ACIMDesignSpec(128, 128, 8, 3),
+            params_key=estimator.parameters_key,
+        )
+        assert key_digest(key) == (
+            "b7802ef6b1282f3840823a680c7385cb011cc5bd8dd072671c8dd43a690b7a19"
+        )
+        assert params_digest_of(estimator.parameters_key) == (
+            "bf601a63ed3013595a412786a3397a9a0592c95c39c58777515ed79e119efd9f"
+        )
 
 
 class TestEvaluationEngine:
@@ -144,14 +163,14 @@ class TestInlineEvaluation:
         assert engine.metrics.value("engine.dispatch.seconds", None) is None
         assert engine.metrics.value("engine.serialize.seconds", None) is None
 
-    def test_worker_seconds_are_deltas_in_since(self):
+    def test_worker_seconds_are_per_scope(self):
         engine = _fresh_engine()
         engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-        baseline = engine.metrics.snapshot()
         engine.cache.clear()
-        engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
-        delta = EngineStats.from_metrics(engine.metrics.since(baseline))
-        assert 0 < delta.worker_seconds < engine.stats.worker_seconds
+        with engine.metrics.scope() as scope:
+            engine.evaluate_specs(ACIMEstimator(), SpecBatch.enumerate(1024))
+        run = EngineStats.from_metrics(scope.read())
+        assert 0 < run.worker_seconds < engine.stats.worker_seconds
 
     def test_engine_stats_table_shows_worker_seconds(self):
         from repro.flow.report import engine_stats_table
@@ -201,9 +220,12 @@ class TestSeedDeterminismAcrossBackends:
         fixed-seed NSGA-II Pareto front bit-identical to the retained
         scalar-reference path (the pre-refactor implementation)."""
         pareto_sets = {}
-        for kernel in ("reference", "vectorized"):
+        estimators = {
+            "reference": _ReferenceEstimator(),
+            "vectorized": ACIMEstimator(),
+        }
+        for kernel, estimator in estimators.items():
             config = NSGA2Config(population_size=28, generations=10, seed=11)
-            estimator = ACIMEstimator(kernel=kernel)
             # A private cache per run so the two kernels cannot serve each
             # other's evaluations.
             explorer = _ExplorerCore(
@@ -240,6 +262,13 @@ class TestSeedDeterminismAcrossBackends:
             NSGA2Config(backend="gpu")
         with pytest.raises(TypeError):
             NSGA2Config(workers=0)
+
+
+class _ReferenceEstimator(ACIMEstimator):
+    """Evaluates every batch through the scalar reference loop."""
+
+    def evaluate_batch(self, specs):
+        return self.evaluate_batch_reference(specs)
 
 
 def _fresh_engine() -> EvaluationEngine:

@@ -221,14 +221,20 @@ class TestEvaluateArrays:
         assert results[0] == results[1] == results[2]
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
+        # The kernel= option was removed: evaluate() is the one scalar
+        # model body and evaluate_batch always runs the array kernels.
+        with pytest.raises(TypeError):
             ACIMEstimator(kernel="gpu")
+        with pytest.raises(TypeError):
+            ACIMEstimator(kernel="reference")
 
     def test_reference_kernel_estimator_uses_scalar_loop(self):
-        estimator = ACIMEstimator(kernel="reference")
+        estimator = ACIMEstimator()
         specs = list(enumerate_design_space(1024))
-        assert estimator.evaluate_batch(specs) == \
-            estimator.evaluate_batch_reference(specs)
+        reference = estimator.evaluate_batch_reference(specs + specs[:3])
+        assert reference == [estimator.evaluate(spec) for spec in specs] + \
+            reference[:3]
+        assert reference[-1] is reference[2]  # duplicates share a record
 
 
 class TestKernelDomainChecks:

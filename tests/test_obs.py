@@ -9,6 +9,7 @@ always-on instrumentation must respect while tracing is disabled.
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -17,6 +18,8 @@ from repro.api import ApiResult, EstimateRequest, QueryRequest, Session, Session
 from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
 from repro.cli import main
+from repro.dse.explorer import _ExplorerCore
+from repro.dse.nsga2 import NSGA2Config
 from repro.engine import (
     EngineStats,
     EvaluationCache,
@@ -35,7 +38,6 @@ from repro.obs import (
     Span,
     Tracer,
     configure_tracing,
-    counters_only,
     export_chrome,
     export_jsonl,
     get_tracer,
@@ -72,8 +74,7 @@ class TestInstruments:
         counter.inc()
         counter.add(4)
         assert counter.value == 5
-        assert Counter.delta(counter.snapshot_value(), 2) == 3
-        assert Counter.delta(counter.snapshot_value(), None) == 5
+        assert isinstance(counter, Counter)
 
     def test_gauge_is_a_level(self):
         registry = MetricsRegistry()
@@ -81,8 +82,11 @@ class TestInstruments:
         gauge.set(7)
         gauge.set(3)
         assert gauge.value == 3
-        # The delta view reports the level, not a difference.
-        assert Gauge.delta(gauge.snapshot_value(), 7) == 3
+        assert isinstance(gauge, Gauge)
+        # A scope reports the level, not a difference.
+        with registry.scope() as scope:
+            gauge.set(5)
+        assert scope.read() == {"demo.level": 5}
 
     def test_histogram_buckets_and_overflow(self):
         registry = MetricsRegistry()
@@ -104,13 +108,16 @@ class TestInstruments:
     def test_histogram_delta_diffs_buckets(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("demo.seconds", bounds=(1.0,))
+        assert isinstance(histogram, Histogram)
         histogram.observe(0.5)
-        baseline = histogram.snapshot_value()
-        histogram.observe(0.5)
-        histogram.observe(5.0)
-        delta = Histogram.delta(histogram.snapshot_value(), baseline)
-        assert delta["count"] == 2
-        assert delta["buckets"] == [[1.0, 1], ["inf", 1]]
+        with registry.scope() as scope:
+            histogram.observe(0.5)
+            histogram.observe(5.0)
+        delta = scope.read()["demo.seconds"]
+        assert delta == {
+            "count": 2, "sum": 5.5, "buckets": [[1.0, 1], ["inf", 1]],
+        }
+        assert histogram.snapshot_value()["count"] == 3
 
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -120,20 +127,52 @@ class TestInstruments:
         with pytest.raises(ValueError):
             registry.histogram("demo.name")
 
-    def test_snapshot_and_since(self):
+    def test_scope_counts_what_its_context_recorded(self):
         registry = MetricsRegistry()
         registry.counter("a").add(2)
-        baseline = registry.snapshot()
-        registry.counter("a").add(3)
-        registry.counter("b").inc()  # created after the baseline
-        delta = registry.since(baseline)
-        assert delta == {"a": 3, "b": 1}
+        registry.counter("seconds").add(0.5)
+        registry.histogram("h", bounds=(1.0,))
+        with registry.scope() as scope:
+            registry.counter("a").add(3)
+            registry.counter("b").inc()  # created inside the scope
+        # One entry per instrument; an idle one reads zero of its own
+        # type (the float total's counter reads 0.0, not 0).
+        assert scope.read() == {
+            "a": 3,
+            "b": 1,
+            "h": {"count": 0, "sum": 0.0, "buckets": [[1.0, 0], ["inf", 0]]},
+            "seconds": 0.0,
+        }
+        assert type(scope.read()["seconds"]) is float
+        assert registry.snapshot()["a"] == 5
 
-    def test_counters_only_drops_histograms(self):
-        registry = MetricsRegistry()
+    def test_scopes_nest_and_ignore_other_registries(self):
+        registry, other = MetricsRegistry(), MetricsRegistry()
+        with registry.scope() as outer:
+            registry.counter("a").inc()
+            with registry.scope() as inner, other.scope() as foreign:
+                registry.counter("a").add(2)
+                other.counter("a").add(10)
+            registry.counter("a").inc()
+        assert outer.read() == {"a": 4}
+        assert inner.read() == {"a": 2}
+        assert foreign.read() == {"a": 10}
+        # Closed scopes record nothing more.
         registry.counter("a").inc()
-        registry.histogram("h").observe(0.1)
-        assert counters_only(registry.snapshot()) == {"a": 1}
+        assert outer.read() == {"a": 4}
+
+    def test_scope_ignores_other_threads(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("a")
+        with registry.scope() as scope:
+            counter.inc()
+            # Work on a thread started inside the scope is not counted:
+            # a new thread starts with no open scopes.
+            worker = threading.Thread(target=counter.add, args=(100,))
+            worker.start()
+            worker.join()
+        assert scope.read() == {"a": 1}
+        assert counter.value == 101
 
     def test_value_and_names(self):
         registry = MetricsRegistry()
@@ -330,14 +369,15 @@ class TestEngineStatsByteIdentity:
         batch_size = engine.metrics.value("engine.eval.batch_size")
         assert batch_size["count"] == 2
 
-    def test_snapshot_since_still_works(self):
+    def test_scope_gives_one_run_view(self):
         engine = _fresh_serial_engine()
         estimator = ACIMEstimator()
         engine.evaluate_specs(estimator, [ACIMDesignSpec(128, 128, 4, 3)])
-        baseline = engine.metrics.snapshot()
-        engine.evaluate_specs(estimator, [ACIMDesignSpec(128, 128, 8, 3)])
-        delta = EngineStats.from_metrics(engine.metrics.since(baseline))
-        assert delta.batches == 1 and delta.tasks == 1
+        with engine.metrics.scope() as scope:
+            engine.evaluate_specs(estimator, [ACIMDesignSpec(128, 128, 8, 3)])
+        run = EngineStats.from_metrics(scope.read())
+        assert run.batches == 1 and run.tasks == 1
+        assert engine.stats.tasks == 2
 
 
 class TestEngineTracing:
@@ -539,6 +579,92 @@ class TestApiSurfacing:
         with Session.from_config(config) as session:
             result = session.submit(QueryRequest(what="campaigns"))
         assert result.payload["run_metrics"] == []
+
+
+# ---------------------------------------------------------------------------
+# Per-request figures under concurrency
+# ---------------------------------------------------------------------------
+
+#: Engine work another thread does inside a measured window; array size
+#: 256, so it never coincides with the measured requests' design points.
+INTRUDER_SPECS = SpecBatch.enumerate(256)
+
+
+class _IntrudingEstimator(ACIMEstimator):
+    """Runs other engine work on a second thread during its first batch.
+
+    The second thread is joined before the batch returns, so its work
+    always lands inside the window the caller measures.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.engine = None
+
+    def evaluate_batch(self, specs):
+        engine, self.engine = self.engine, None
+        if engine is not None:
+            worker = threading.Thread(
+                target=engine.evaluate_specs,
+                args=(ACIMEstimator(), INTRUDER_SPECS),
+            )
+            worker.start()
+            worker.join()
+        return super().evaluate_batch(specs)
+
+
+class TestScopesUnderConcurrency:
+    def test_session_envelope_counts_only_its_request(self):
+        estimator = _IntrudingEstimator()
+        engine = _fresh_serial_engine()
+        with Session(estimator=estimator, engine=engine) as session:
+            estimator.engine = session.engine
+            result = session.submit(EstimateRequest(
+                height=128, width=128, local_array_size=4, adc_bits=3,
+            ))
+        assert result.engine_stats["tasks"] == 1
+        assert result.metrics["engine.eval.tasks"] == 1
+        assert result.metrics["engine.eval.computed"] == 1
+        assert session.engine.stats.tasks == 1 + len(INTRUDER_SPECS)
+
+    def test_explorer_counts_only_its_run(self):
+        config = NSGA2Config(population_size=12, generations=3, seed=4)
+        expected = _ExplorerCore(
+            config=config, engine=_fresh_serial_engine()
+        ).explore(1024)
+        estimator = _IntrudingEstimator()
+        engine = _fresh_serial_engine()
+        estimator.engine = engine
+        result = _ExplorerCore(
+            estimator=estimator, config=config, engine=engine
+        ).explore(1024)
+        for key in ("batches", "tasks", "evaluations", "cache_hits"):
+            assert result.engine_stats[key] == expected.engine_stats[key]
+        assert engine.stats.tasks == (
+            expected.engine_stats["tasks"] + len(INTRUDER_SPECS)
+        )
+
+    def test_campaign_run_metrics_count_only_its_leg(self, tmp_path):
+        from repro.api import CampaignRequest
+
+        request = CampaignRequest(
+            name="nightly", action="run", array_size=1024,
+            population=12, generations=3, seed=1,
+        )
+        alone_config = SessionConfig(store=str(tmp_path / "alone.sqlite"))
+        with Session(alone_config) as session:
+            session.submit(request)
+            (alone,) = session.store.list_run_metrics("nightly")
+        estimator = _IntrudingEstimator()
+        config = SessionConfig(store=str(tmp_path / "intruded.sqlite"))
+        with Session(config, estimator=estimator) as session:
+            estimator.engine = session.engine
+            session.submit(request)
+            (intruded,) = session.store.list_run_metrics("nightly")
+            total = session.engine.stats.evaluations
+        for key in ("evaluations", "cache_hits"):
+            assert intruded["metrics"][key] == alone["metrics"][key]
+        assert total == alone["metrics"]["evaluations"] + len(INTRUDER_SPECS)
 
 
 # ---------------------------------------------------------------------------
