@@ -38,9 +38,11 @@
 #   make paper-bench-smoke every paper-figure benchmark (benchmarks/bench_*.py
 #                          test functions) once as a plain test, timing off
 #   make perfbench-smoke   the repository benchmark's own tests, plus short
-#                          explore (both NSGA-II seed groups) and flow runs;
-#                          fails when an output fingerprint differs from
-#                          perfbench/reference.json
+#                          explore (both NSGA-II seed groups), flow and serve
+#                          runs (serve starts real `repro serve` processes
+#                          and checks every payload); fails when an output
+#                          fingerprint differs from perfbench/reference.json
+#                          or a served request is wrong
 #   make ci                what every PR must pass: tier-1 + the smokes + gates
 #
 # PYTHONPATH is set here so no editable install is needed on CI runners.
@@ -108,5 +110,6 @@ perfbench-smoke:
 	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 	$(PYTHON) perfbench/run.py --workload explore --seed 1 --seconds 2 --trace 0
 	$(PYTHON) perfbench/run.py --workload flow --seed 1 --seconds 2
+	$(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 2
 
 ci: test smoke api-smoke campaign-smoke physical-smoke template-smoke trace-smoke serve-smoke model-bench-smoke physical-bench-smoke template-bench-smoke serve-bench-smoke paper-bench-smoke perfbench-smoke

@@ -28,6 +28,13 @@ job queue.  The pre-1.1 front doors (``EasyACIMFlow``,
 their one-release deprecation window; the session layer is the single
 supported entry point.
 
+Importing is cheap: the names below resolve on first use, so ``import
+repro`` loads no subpackage, and a bare ``Session()`` loads the model,
+engine and optimiser layers but none of the physical stack (cells,
+netlist, placement, routing, layout, the physical pipeline, the flow),
+the simulator or the store.  The first request that needs one of them
+imports it (``docs/api.md``, "Import cost").
+
 The subpackages are usable on their own:
 
 * :mod:`repro.api` — the typed session layer every consumer goes through,
@@ -50,40 +57,50 @@ The subpackages are usable on their own:
 * :mod:`repro.apps` — application mapping (CNN / transformer / SNN),
 * :mod:`repro.sota` — published reference designs for the comparison,
 * :mod:`repro.serve` — the multi-tenant HTTP/job-queue server over one
-  shared session (``docs/serving.md``).
+  shared session (``docs/serving.md``),
+* :mod:`repro.obs` — tracing spans and the metrics registry
+  (``docs/observability.md``),
+* :mod:`repro.reporting` — the table, plot and export renderers the CLI
+  prints with.
 """
 
-from repro.api import (
-    ApiRequest,
-    ApiResult,
-    CampaignRequest,
-    EstimateRequest,
-    ExploreRequest,
-    FlowRequest,
-    LayoutRequest,
-    LibraryRequest,
-    QueryRequest,
-    Session,
-    SessionConfig,
-    ValidateSnrRequest,
-    request_from_dict,
-)
-from repro.arch.spec import ACIMDesignSpec
-from repro.arch.architecture import SynthesizableACIM
-from repro.dse.distill import DistillationCriteria
-from repro.engine import EngineStats, EvaluationCache, EvaluationEngine
-from repro.dse.explorer import ExplorationResult
-from repro.dse.nsga2 import NSGA2Config
-from repro.errors import ReproError
-from repro.flow.controller import FlowInputs, FlowResult
-from repro.cells.library import CellLibrary, default_cell_library
-from repro.model.estimator import ACIMEstimator, ACIMMetrics, ModelParameters
-from repro.physical import MacroLibrary, PhysicalPipeline, PipelineStats
-from repro.sim.montecarlo import MonteCarloSnr
-from repro.store import CampaignResult, ResultStore
-from repro.technology.tech import Technology, generic28
+from repro._lazy import lazy_exports
 
-__version__ = "1.11.0"
+# Public names resolve on first use (PEP 562): ``import repro`` loads no
+# subpackage, and a bare Session never imports the physical stack.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api": (
+        "ApiRequest",
+        "ApiResult",
+        "CampaignRequest",
+        "EstimateRequest",
+        "ExploreRequest",
+        "FlowRequest",
+        "LayoutRequest",
+        "LibraryRequest",
+        "QueryRequest",
+        "Session",
+        "SessionConfig",
+        "ValidateSnrRequest",
+        "request_from_dict",
+    ),
+    "repro.arch.spec": ("ACIMDesignSpec",),
+    "repro.arch.architecture": ("SynthesizableACIM",),
+    "repro.dse.distill": ("DistillationCriteria",),
+    "repro.engine": ("EngineStats", "EvaluationCache", "EvaluationEngine"),
+    "repro.dse.explorer": ("ExplorationResult",),
+    "repro.dse.nsga2": ("NSGA2Config",),
+    "repro.errors": ("ReproError",),
+    "repro.flow.controller": ("FlowInputs", "FlowResult"),
+    "repro.cells.library": ("CellLibrary", "default_cell_library"),
+    "repro.model.estimator": ("ACIMEstimator", "ACIMMetrics", "ModelParameters"),
+    "repro.physical": ("MacroLibrary", "PhysicalPipeline", "PipelineStats"),
+    "repro.sim.montecarlo": ("MonteCarloSnr",),
+    "repro.store": ("CampaignResult", "ResultStore"),
+    "repro.technology.tech": ("Technology", "generic28"),
+})
+
+__version__ = "1.12.0"
 
 __all__ = [
     # The typed public API (the supported entry point).

@@ -30,8 +30,7 @@ from repro.errors import (
     SimulationError,
     StoreError,
 )
-from repro.physical.artifacts import PIPELINE_STAGES
-from repro.store.result_store import RANK_METRICS
+from repro.names import PIPELINE_STAGES, RANK_METRICS
 
 #: kind -> request class; populated by :func:`_register`.
 REQUEST_TYPES: Dict[str, Type["ApiRequest"]] = {}
@@ -95,6 +94,16 @@ class ApiRequest:
                     field=spec_field.name,
                 )
         return self
+
+    def _validated_spec(self) -> Optional[ACIMDesignSpec]:
+        """Validate; return the design spec a single-point request describes.
+
+        The session's envelope step calls this once per request and hands
+        the spec to the handler, so a single-point request builds its
+        spec once.  Requests that describe no single point return None.
+        """
+        self.validate()
+        return None
 
     def to_dict(self) -> dict:
         """Serializable dictionary including the ``kind`` discriminator.
@@ -261,9 +270,12 @@ class EstimateRequest(ApiRequest):
     adc_sweep: bool = False
 
     def validate(self) -> "EstimateRequest":
-        super().validate()
-        self.spec()
+        self._validated_spec()
         return self
+
+    def _validated_spec(self) -> ACIMDesignSpec:
+        super().validate()
+        return self.spec()
 
     def spec(self) -> ACIMDesignSpec:
         """The validated :class:`ACIMDesignSpec` this request describes."""
@@ -509,13 +521,17 @@ class LayoutRequest(ApiRequest):
     lef: bool = False
 
     def validate(self) -> "LayoutRequest":
+        self._validated_spec()
+        return self
+
+    def _validated_spec(self) -> ACIMDesignSpec:
         super().validate()
-        self.spec()
+        spec = self.spec()
         if self.output_dir is None and (self.spice or self.testbench or self.lef):
             raise RequestError(
                 "spice/testbench/lef views require an output_dir"
             )
-        return self
+        return spec
 
     def spec(self) -> ACIMDesignSpec:
         """The validated :class:`ACIMDesignSpec` this request describes."""

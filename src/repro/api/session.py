@@ -37,7 +37,7 @@ import functools
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.api.requests import (
     ApiRequest,
@@ -54,24 +54,25 @@ from repro.api.requests import (
 from repro.api.results import ApiResult
 from repro.arch.batch import SpecBatch
 from repro.arch.spec import ACIMDesignSpec
-from repro.cells.library import default_cell_library
 from repro.dse.distill import DistillationCriteria, distill
-from repro.dse.exhaustive import evaluate_all
-from repro.dse.explorer import ExplorationResult, _ExplorerCore
 from repro.dse.nsga2 import NSGA2Config
 from repro.dse.pareto import pareto_front
-from repro.dse.sensitivity import SensitivityAnalyzer
 from repro.engine import EngineStats, EvaluationEngine
 from repro.errors import RequestError, StoreError, TechnologyError
-from repro.flow.controller import FlowInputs, _FlowCore
 from repro.model.estimator import ACIMEstimator, ModelParameters
 from repro.obs import MetricsRegistry, get_tracer
-from repro.physical.artifacts import PipelineStats
-from repro.physical.macro_library import MACRO_STAGE
-from repro.physical.pipeline import PhysicalPipeline
-from repro.store.campaign import _CampaignManagerCore
-from repro.store.result_store import ResultStore
 from repro.technology.tech import generic28
+
+# A bare session imports only the model, engine and optimiser layers.  The
+# flow, physical, cell, store and exploration-driver modules are imported
+# by the handlers that use them, so the first request of such a kind pays
+# for its own imports (the import lock makes concurrent first requests
+# safe).  repro.dse.distill stays above: the repro.dse package loads it.
+if TYPE_CHECKING:
+    from repro.dse.explorer import ExplorationResult
+    from repro.physical.artifacts import PipelineStats
+    from repro.physical.pipeline import PhysicalPipeline
+    from repro.store.result_store import ResultStore
 
 #: Technology factories a session can be configured with by name.
 TECHNOLOGIES: Dict[str, Callable] = {
@@ -140,8 +141,10 @@ class SessionConfig:
 def _enveloped(handler: Callable) -> Callable:
     """The one envelope step every request runs through.
 
-    Validates the request, runs ``handler`` inside an ``api.<kind>``
-    root span and a :meth:`~repro.obs.MetricsRegistry.scope` of the
+    Validates the request — building a single-point request's design
+    spec once, handed to ``handler`` as its third argument — runs
+    ``handler`` inside an ``api.<kind>`` root span and a
+    :meth:`~repro.obs.MetricsRegistry.scope` of the
     session registry, and fills the handler's :class:`ApiResult` from
     that one scope: ``runtime_seconds``, ``metrics`` (what the call
     recorded), ``engine_stats`` (the :class:`EngineStats` view of it,
@@ -155,16 +158,19 @@ def _enveloped(handler: Callable) -> Callable:
 
     @functools.wraps(handler)
     def run(self: "Session", request: ApiRequest) -> ApiResult:
-        request.validate()
+        spec = request._validated_spec()
+        args = (request,) if spec is None else (request, spec)
         tracer = get_tracer()
         start = time.perf_counter()
         with self.metrics.scope() as scope, tracer.span(f"api.{request.kind}"):
-            result = handler(self, request)
+            result = handler(self, *args)
         recorded = scope.read()
         result.runtime_seconds = time.perf_counter() - start
         result.metrics = recorded
         result.engine_stats = EngineStats.from_metrics(recorded).as_dict()
         if result.payload.get("physical_stats"):
+            from repro.physical.artifacts import PipelineStats
+
             result.engine_stats.update(
                 _flat_physical_stats(PipelineStats.from_metrics(recorded))
             )
@@ -229,6 +235,8 @@ class Session:
         self._owns_store = store is None and self.config.store is not None
         self.store: Optional[ResultStore] = store
         if self._owns_store:
+            from repro.store.result_store import ResultStore
+
             self.store = ResultStore(self.config.store, metrics=self.metrics)
         elif store is not None and store.metrics is None:
             store.metrics = self.metrics
@@ -306,6 +314,8 @@ class Session:
     def library(self):
         """The customized cell library on the session technology."""
         if self._library is None:
+            from repro.cells.library import default_cell_library
+
             self._library = default_cell_library(self.technology)
         return self._library
 
@@ -319,6 +329,8 @@ class Session:
         (``docs/physical.md``).
         """
         if self._pipeline is None:
+            from repro.physical.pipeline import PhysicalPipeline
+
             self._pipeline = PhysicalPipeline(
                 self.library, store=self.store, metrics=self.metrics
             )
@@ -355,9 +367,8 @@ class Session:
     # -- workflows ------------------------------------------------------------
 
     @_enveloped
-    def estimate(self, request: EstimateRequest) -> ApiResult:
+    def estimate(self, request: EstimateRequest, spec: ACIMDesignSpec) -> ApiResult:
         """Evaluate the estimation model for one design point (or sweep)."""
-        spec = request.spec()
         if request.adc_sweep:
             # Highest precision the CDAC grouping supports: H/L >= 2^B_ADC.
             max_feasible_bits = spec.local_arrays_per_column.bit_length() - 1
@@ -381,6 +392,8 @@ class Session:
         if request.method == "sensitivity":
             return self._explore_sensitivity(request)
         if request.method == "exhaustive":
+            from repro.dse.exhaustive import evaluate_all
+
             # Build the grid here so the request's height bounds apply
             # (evaluate_all's own enumeration has no height arguments).
             grid = SpecBatch.enumerate(
@@ -406,6 +419,8 @@ class Session:
             evaluations = len(designs)
             exploration: Optional[ExplorationResult] = None
         else:
+            from repro.dse.explorer import _ExplorerCore
+
             explorer = _ExplorerCore(
                 estimator=self.estimator,
                 config=NSGA2Config(
@@ -446,6 +461,8 @@ class Session:
         )
 
     def _explore_sensitivity(self, request: ExploreRequest) -> ApiResult:
+        from repro.dse.sensitivity import SensitivityAnalyzer
+
         analyzer = SensitivityAnalyzer(
             base=self.estimator.parameters, engine=self.engine
         )
@@ -474,6 +491,8 @@ class Session:
     def campaign(self, request: CampaignRequest) -> ApiResult:
         """Start or resume a named, checkpointed exploration campaign."""
         store = self._require_store(request.kind)
+        from repro.store.campaign import _CampaignManagerCore
+
         manager = _CampaignManagerCore(
             store,
             estimator=self.estimator,
@@ -515,6 +534,8 @@ class Session:
     @_enveloped
     def flow(self, request: FlowRequest) -> ApiResult:
         """The end-to-end flow: explore, distill, netlists, layouts."""
+        from repro.flow.controller import FlowInputs, _FlowCore
+
         inputs = FlowInputs(
             array_size=request.array_size,
             technology=self.technology,
@@ -598,9 +619,8 @@ class Session:
         )
 
     @_enveloped
-    def layout(self, request: LayoutRequest) -> ApiResult:
+    def layout(self, request: LayoutRequest, spec: ACIMDesignSpec) -> ApiResult:
         """Netlist + layout (+ optional SPICE/testbench/LEF) for one point."""
-        spec = request.spec()
         files: Dict[str, str] = {}
         output_dir = None
         if request.output_dir is not None:
@@ -726,6 +746,8 @@ class Session:
         ``stage`` filters the persisted inventory by store stage (solved
         macros live under ``"macro"``); ``kind`` filters by macro kind.
         """
+        from repro.physical.macro_library import MACRO_STAGE
+
         rows: List[dict] = []
         if stage is None or stage == MACRO_STAGE:
             rows = [

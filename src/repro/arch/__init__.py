@@ -17,16 +17,29 @@ executable form:
   taxonomy of Figure 2 and the rationale for selecting QR.
 """
 
-from repro.arch.batch import SpecBatch
-from repro.arch.compute_models import ComputeModel, ComputeModelProperties, COMPUTE_MODEL_CATALOG
-from repro.arch.spec import ACIMDesignSpec, enumerate_design_space, valid_heights
-from repro.arch.architecture import (
-    ColumnPlan,
-    LocalArrayPlan,
-    SarGroupPlan,
-    SynthesizableACIM,
-)
-from repro.arch.timing import OperatingState, TimingEvent, TimingModel, TimingParameters
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.arch.batch": ("SpecBatch",),
+    "repro.arch.compute_models": (
+        "ComputeModel",
+        "ComputeModelProperties",
+        "COMPUTE_MODEL_CATALOG",
+    ),
+    "repro.arch.spec": ("ACIMDesignSpec", "enumerate_design_space", "valid_heights"),
+    "repro.arch.architecture": (
+        "ColumnPlan",
+        "LocalArrayPlan",
+        "SarGroupPlan",
+        "SynthesizableACIM",
+    ),
+    "repro.arch.timing": (
+        "OperatingState",
+        "TimingEvent",
+        "TimingModel",
+        "TimingParameters",
+    ),
+})
 
 __all__ = [
     "ComputeModel",

@@ -46,32 +46,16 @@ from repro.api import (
     ValidateSnrRequest,
 )
 from repro.errors import ReproError
-from repro.flow.report import (
-    design_table,
-    engine_stats_table,
-    format_table,
-    pareto_summary,
-)
+from repro.names import RANK_METRICS
 from repro.obs import (
     configure_tracing,
     export_chrome,
     export_jsonl,
     get_tracer,
 )
-from repro.reporting.ascii_plots import render_pareto_front
-from repro.reporting.campaigns import (
-    campaign_table,
-    store_summary_table,
-    stored_design_table,
-)
-from repro.reporting.observability import (
-    campaign_trend_table,
-    metrics_table,
-    run_metrics_table,
-)
-from repro.reporting.export import export_csv
-from repro.reporting.physical import macro_table, physical_stats_table
-from repro.store import RANK_METRICS
+
+# The table renderers (repro.flow.report, repro.reporting) are imported by
+# the subcommands that print them, so ``repro serve`` starts without them.
 
 #: Default store file of the campaign subcommands (kept from the pre-API
 #: CLI so existing invocations find their data).
@@ -366,6 +350,15 @@ def _emit_json(result: ApiResult, args: argparse.Namespace) -> bool:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.flow.report import (
+        design_table,
+        engine_stats_table,
+        format_table,
+        pareto_summary,
+    )
+    from repro.reporting.ascii_plots import render_pareto_front
+    from repro.reporting.export import export_csv
+
     request = ExploreRequest(
         array_size=args.array_size,
         method=args.method,
@@ -419,6 +412,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
+    from repro.flow.report import design_table, format_table
+    from repro.reporting.physical import physical_stats_table
+
     request = FlowRequest(
         array_size=args.array_size,
         population=args.population,
@@ -453,6 +449,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
+    from repro.flow.report import format_table
+
     request = LayoutRequest(
         height=args.height,
         width=args.width,
@@ -482,6 +480,8 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.flow.report import format_table
+
     request = EstimateRequest(
         height=args.height,
         width=args.width,
@@ -498,6 +498,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_library(args: argparse.Namespace) -> int:
+    from repro.flow.report import format_table
+    from repro.reporting.physical import macro_table
+
     want_macros = args.topic == "macros"
     with _session_from_args(args) as session:
         result = session.submit(LibraryRequest(
@@ -530,6 +533,8 @@ def _cmd_library(args: argparse.Namespace) -> int:
 
 
 def _print_campaign_outcome(result: ApiResult, engine_stats: bool) -> None:
+    from repro.flow.report import design_table, engine_stats_table, format_table
+
     outcome = result.artifacts["result"]
     print(format_table([outcome.as_dict()]))
     if outcome.status == "interrupted":
@@ -575,6 +580,10 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_list(args: argparse.Namespace) -> int:
+    from repro.flow.report import format_table
+    from repro.reporting.campaigns import campaign_table, store_summary_table
+    from repro.reporting.observability import campaign_trend_table
+
     with _session_from_args(args, default_store=DEFAULT_CAMPAIGN_STORE) as session:
         result = session.submit(QueryRequest(what="campaigns"))
     if _emit_json(result, args):
@@ -595,6 +604,10 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_query(args: argparse.Namespace) -> int:
+    from repro.flow.report import format_table
+    from repro.reporting.campaigns import stored_design_table
+    from repro.reporting.export import export_csv
+
     request = QueryRequest(
         what="designs",
         min_snr_db=args.min_snr_db,
@@ -626,6 +639,8 @@ def _cmd_campaign_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_snr(args: argparse.Namespace) -> int:
+    from repro.flow.report import format_table
+
     request = ValidateSnrRequest(
         adc_bits=tuple(args.adc_bits),
         height=args.height,
@@ -643,6 +658,13 @@ def _cmd_validate_snr(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.flow.report import format_table
+    from repro.reporting.observability import (
+        campaign_trend_table,
+        metrics_table,
+        run_metrics_table,
+    )
+
     with _session_from_args(args, default_store=DEFAULT_CAMPAIGN_STORE) as session:
         result = session.submit(QueryRequest(what="campaigns"))
     if _emit_json(result, args):

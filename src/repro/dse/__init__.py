@@ -18,25 +18,33 @@ of Figure 4 that filters the Pareto set down to an application's
 requirements.
 """
 
-from repro.dse.pareto import (
-    crowding_distance,
-    dominates,
-    hypervolume_2d,
-    non_dominated_sort,
-    pareto_front,
-    pareto_front_mask,
-)
-from repro.dse.nsga2 import NSGA2, NSGA2Config, Individual
-from repro.dse.problem import ACIMDesignProblem, EvaluatedDesign
-from repro.dse.exhaustive import exhaustive_pareto_front
-from repro.dse.explorer import ExplorationResult
+from repro._lazy import lazy_exports
+
+# ``distill`` names both a submodule and the function it defines.  Importing
+# the submodule rebinds the package attribute to the module, so the function
+# is bound eagerly, after its module: repro.dse.distill stays the function.
 from repro.dse.distill import DistillationCriteria, distill
-from repro.dse.sensitivity import (
-    FrontierSensitivity,
-    ParameterSensitivity,
-    SensitivityAnalyzer,
-    perturb_parameters,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dse.pareto": (
+        "crowding_distance",
+        "dominates",
+        "hypervolume_2d",
+        "non_dominated_sort",
+        "pareto_front",
+        "pareto_front_mask",
+    ),
+    "repro.dse.nsga2": ("NSGA2", "NSGA2Config", "Individual"),
+    "repro.dse.problem": ("ACIMDesignProblem", "EvaluatedDesign"),
+    "repro.dse.exhaustive": ("exhaustive_pareto_front",),
+    "repro.dse.explorer": ("ExplorationResult",),
+    "repro.dse.sensitivity": (
+        "FrontierSensitivity",
+        "ParameterSensitivity",
+        "SensitivityAnalyzer",
+        "perturb_parameters",
+    ),
+})
 
 __all__ = [
     "crowding_distance",

@@ -22,23 +22,28 @@ columns and come back as :class:`~repro.model.estimator.MetricsArrays`
 metric columns (see ``docs/model.md``).
 """
 
-from repro.model.notation import WorkloadStatistics
-from repro.model.snr import SnrParameters, SnrModel
-from repro.model.throughput import ThroughputArrays, ThroughputModel
-from repro.model.energy import EnergyArrays, EnergyParameters, EnergyModel
-from repro.model.area import AreaArrays, AreaParameters, AreaModel
-from repro.model.estimator import (
-    ACIMEstimator,
-    ACIMMetrics,
-    MetricsArrays,
-    ModelParameters,
-)
-from repro.model.backannotate import BackAnnotationResult, BackAnnotator
-from repro.model.calibration import (
-    derive_area_parameters_from_figure8,
-    fit_adc_energy_constants,
-    fit_snr_constants,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.model.notation": ("WorkloadStatistics",),
+    "repro.model.snr": ("SnrParameters", "SnrModel"),
+    "repro.model.throughput": ("ThroughputArrays", "ThroughputModel"),
+    "repro.model.energy": ("EnergyArrays", "EnergyParameters", "EnergyModel"),
+    "repro.model.area": ("AreaArrays", "AreaParameters", "AreaModel"),
+    "repro.model.estimator": (
+        "ACIMEstimator",
+        "ACIMMetrics",
+        "MetricsArrays",
+        "ModelParameters",
+    ),
+    # Back-annotation reads extracted layouts, so it loads repro.layout.
+    "repro.model.backannotate": ("BackAnnotationResult", "BackAnnotator"),
+    "repro.model.calibration": (
+        "derive_area_parameters_from_figure8",
+        "fit_adc_energy_constants",
+        "fit_snr_constants",
+    ),
+})
 
 __all__ = [
     "WorkloadStatistics",

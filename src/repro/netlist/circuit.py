@@ -117,8 +117,7 @@ class Circuit:
         self._nets: Dict[str, Net] = {}
         self._devices: Dict[str, Device] = {}
         self._instances: Dict[str, Instance] = {}
-        for pin in pins:
-            self.add_pin(pin)
+        self.add_pins(pins)
 
     # -- pins ---------------------------------------------------------------
 
@@ -129,16 +128,44 @@ class Circuit:
 
     def add_pin(self, pin: Pin) -> Net:
         """Declare an external pin; creates the matching net if needed."""
-        if pin.name in self._pin_names:
-            raise NetlistError(f"circuit {self.name!r}: duplicate pin {pin.name!r}")
-        self._pins.append(pin)
-        self._pin_names[pin.name] = pin
-        is_power = pin.direction is PinDirection.SUPPLY
-        if pin.name not in self._nets:
-            self._nets[pin.name] = Net(pin.name, is_power=is_power)
-        elif is_power:
-            self._nets[pin.name].is_power = True
-        return self._nets[pin.name]
+        return self.add_pins((pin,))[0]
+
+    def add_pins(self, pins: Iterable[Pin]) -> List[Net]:
+        """Declare external pins in order; the bulk form of :meth:`add_pin`.
+
+        Each pin's net is created if needed (a supply pin marks its net as
+        power) and returned in pin order.  The names are checked against
+        the declared pins and each other in one pass before any pin is
+        registered, so a duplicate leaves the circuit unchanged.
+
+        Raises:
+            NetlistError: on a duplicate pin name (the first one in
+                ``pins`` order is reported).
+        """
+        pins = list(pins)
+        declared = self._pin_names
+        fresh = {pin.name: pin for pin in pins}
+        if len(fresh) != len(pins) or not declared.keys().isdisjoint(fresh):
+            seen = set(declared)
+            for pin in pins:
+                if pin.name in seen:
+                    raise NetlistError(
+                        f"circuit {self.name!r}: duplicate pin {pin.name!r}"
+                    )
+                seen.add(pin.name)
+        self._pins.extend(pins)
+        declared.update(fresh)
+        nets = self._nets
+        added: List[Net] = []
+        for pin in pins:
+            is_power = pin.direction is PinDirection.SUPPLY
+            net = nets.get(pin.name)
+            if net is None:
+                net = nets[pin.name] = Net(pin.name, is_power=is_power)
+            elif is_power:
+                net.is_power = True
+            added.append(net)
+        return added
 
     def has_pin(self, name: str) -> bool:
         """True if the circuit declares a pin named ``name``."""

@@ -21,36 +21,43 @@ content-addressed artifacts:
 See ``docs/physical.md`` for the architecture and the reuse knobs.
 """
 
-from repro.physical.artifacts import (
-    PIPELINE_STAGES,
-    PipelineStats,
-    StageStats,
-    artifact_digest,
-    canonical_artifact_key,
-)
-from repro.physical.macro_library import MACRO_STAGE, MacroLibrary, MacroRecord
-from repro.physical.netlist_builder import NetlistBuilder
-from repro.physical.pipeline import (
-    LayoutGenerationReport,
-    PhysicalPipeline,
-    PipelineResult,
-)
-from repro.physical.serialize import (
-    layout_from_dict,
-    layout_to_dict,
-    plans_from_dict,
-    plans_to_dict,
-)
-from repro.physical.templates import (
-    MacroTemplate,
-    STRUCTURAL_PARAMS,
-    TemplateIndex,
-    edit_cost,
-    family_digest,
-    family_key,
-    template_for,
-    template_params,
-)
+from repro._lazy import lazy_exports
+
+# ``repro.physical.artifacts`` is a leaf (stage keys, digests, statistics):
+# reading pipeline statistics loads it without the pipeline's layout,
+# placement and routing stack.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.physical.artifacts": (
+        "PIPELINE_STAGES",
+        "PipelineStats",
+        "StageStats",
+        "artifact_digest",
+        "canonical_artifact_key",
+    ),
+    "repro.physical.macro_library": ("MACRO_STAGE", "MacroLibrary", "MacroRecord"),
+    "repro.physical.netlist_builder": ("NetlistBuilder",),
+    "repro.physical.pipeline": (
+        "LayoutGenerationReport",
+        "PhysicalPipeline",
+        "PipelineResult",
+    ),
+    "repro.physical.serialize": (
+        "layout_from_dict",
+        "layout_to_dict",
+        "plans_from_dict",
+        "plans_to_dict",
+    ),
+    "repro.physical.templates": (
+        "MacroTemplate",
+        "STRUCTURAL_PARAMS",
+        "TemplateIndex",
+        "edit_cost",
+        "family_digest",
+        "family_key",
+        "template_for",
+        "template_params",
+    ),
+})
 
 __all__ = [
     "PIPELINE_STAGES",

@@ -19,8 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-#: Stage names of the physical pipeline, in execution order.
-PIPELINE_STAGES = ("netlist", "placement", "routing", "layout", "export")
+from repro.names import PIPELINE_STAGES
 
 
 def canonical_artifact_key(stage: str, key) -> str:

@@ -43,6 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.arch.spec import ACIMDesignSpec
 from repro.errors import StoreError
 from repro.model.estimator import ACIMMetrics
+from repro.names import RANK_METRICS
 from repro.obs import get_tracer
 
 #: Version of the on-disk schema; bumped on incompatible layout changes.
@@ -69,18 +70,6 @@ _METRIC_FIELDS = (
     "area_f2_per_bit",
     "total_area_um2",
 )
-
-#: ``query(rank_by=...)`` metrics and whether larger values rank first.
-RANK_METRICS: Dict[str, bool] = {
-    "snr_db": True,
-    "snr_total_db": True,
-    "tops": True,
-    "macs_per_second": True,
-    "tops_per_watt": True,
-    "energy_per_mac": False,
-    "area_f2_per_bit": False,
-    "total_area_um2": False,
-}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (

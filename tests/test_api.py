@@ -583,6 +583,50 @@ class TestEnvelopeParity:
                 assert "engine.eval.tasks" in typed.metrics, kind
 
 
+class TestSpecBuiltOncePerSubmit:
+    """A single-point request's spec is validated once and handed on."""
+
+    @pytest.fixture
+    def spec_builds(self, monkeypatch):
+        import repro.api.requests as requests_module
+
+        calls = []
+        original = requests_module._spec_of
+
+        def counted(request):
+            calls.append(request.kind)
+            return original(request)
+
+        monkeypatch.setattr(requests_module, "_spec_of", counted)
+        return calls
+
+    def test_estimate_builds_its_spec_once(self, spec_builds):
+        with Session() as session:
+            result = session.submit(EstimateRequest())
+            assert result.ok
+            assert spec_builds == ["estimate"]
+            session.estimate(EstimateRequest(adc_sweep=True))
+        assert spec_builds == ["estimate", "estimate"]
+
+    def test_layout_builds_its_spec_once(self, spec_builds):
+        with Session() as session:
+            assert session.submit(LayoutRequest(route_columns=False)).ok
+        assert spec_builds == ["layout"]
+
+    @pytest.mark.parametrize("request_, field", [
+        (EstimateRequest(height="128"), "height"),
+        (EstimateRequest(adc_sweep="yes"), "adc_sweep"),
+        (LayoutRequest(width=0), "width"),
+    ])
+    def test_invalid_requests_fail_before_any_work(self, request_, field):
+        with Session() as session:
+            before = session.metrics.snapshot()
+            with pytest.raises(RequestError) as info:
+                session.submit(request_)
+            assert field in str(info.value)
+            assert session.metrics.snapshot() == before
+
+
 class TestLegacyFrontDoorsRemoved:
     def test_legacy_front_doors_are_gone(self):
         """The one-release deprecation window has closed."""

@@ -225,6 +225,58 @@ class TestBulkInstances:
         assert maps[1]["RWL0"] == "RWL0"
 
 
+class TestBulkPins:
+    """``add_pins`` keeps every check of one-at-a-time ``add_pin``."""
+
+    PINS = [
+        Pin("IN", PinDirection.INPUT),
+        Pin("VDD", PinDirection.SUPPLY),
+        Pin("OUT", PinDirection.OUTPUT),
+    ]
+
+    @staticmethod
+    def _one_at_a_time_error(circuit, pins):
+        try:
+            for pin in pins:
+                circuit.add_pin(pin)
+        except NetlistError as error:
+            return str(error)
+        return None
+
+    def test_pins_nets_and_order_match_add_pin(self):
+        one, bulk = Circuit("c"), Circuit("c")
+        one.add_net("VDD")
+        bulk.add_net("VDD")
+        singles = [one.add_pin(pin) for pin in self.PINS]
+        batched = bulk.add_pins(iter(self.PINS))
+        assert [net.name for net in batched] == [net.name for net in singles]
+        assert bulk.pins == one.pins == self.PINS
+        assert [(n.name, n.is_power) for n in bulk.nets] == [
+            (n.name, n.is_power) for n in one.nets
+        ]
+        assert bulk.net("VDD").is_power
+        assert write_spice(bulk) == write_spice(one)
+
+    @pytest.mark.parametrize("declared, pins", [
+        ((), [Pin("A"), Pin("B"), Pin("A"), Pin("B")]),
+        ((Pin("B"),), [Pin("A"), Pin("B"), Pin("C")]),
+        ((Pin("A"),), [Pin("C"), Pin("C"), Pin("A")]),
+    ])
+    def test_duplicate_is_atomic_and_reports_the_first(self, declared, pins):
+        expected = self._one_at_a_time_error(Circuit("c", pins=declared), pins)
+        circuit = Circuit("c", pins=declared)
+        with pytest.raises(NetlistError) as info:
+            circuit.add_pins(pins)
+        assert str(info.value) == expected
+        # Nothing of the failed call is registered.
+        assert circuit.pins == list(declared)
+        assert [net.name for net in circuit.nets] == [pin.name for pin in declared]
+
+    def test_constructor_rejects_duplicates_with_the_same_text(self):
+        with pytest.raises(NetlistError, match="circuit 'c': duplicate pin 'A'"):
+            Circuit("c", pins=[Pin("A"), Pin("B"), Pin("A")])
+
+
 class TestSpiceFormatting:
     def test_format_si_femto(self):
         assert format_si(1e-15) == "1f"
