@@ -89,10 +89,6 @@ def _record_bitarray(record_type: int, value: int) -> bytes:
     return _record(record_type, 0x01, struct.pack(">H", value & 0xFFFF))
 
 
-def _record_int32(record_type: int, values: List[int]) -> bytes:
-    return _record(record_type, _INT32, struct.pack(f">{len(values)}i", *values))
-
-
 def _record_ascii(record_type: int, text: str) -> bytes:
     data = text.encode("ascii")
     if len(data) % 2:
@@ -153,18 +149,18 @@ def write_gds(
     Returns:
         The number of bytes written.
     """
-    stream = bytearray()
-    stream += _record_int16(_HEADER, [600])
-    stream += _record_int16(_BGNLIB, list(_TIMESTAMP) * 2)
-    stream += _record_ascii(_LIBNAME, library_name)
-    # User unit = 1 micron expressed in database units; database unit in meters.
-    stream += _record_real8(_UNITS, [1e-3, 1e-9])
-
+    parts = [
+        _record_int16(_HEADER, [600]),
+        _record_int16(_BGNLIB, list(_TIMESTAMP) * 2),
+        _record_ascii(_LIBNAME, library_name),
+        # User unit = 1 micron expressed in database units; database unit
+        # in meters.
+        _record_real8(_UNITS, [1e-3, 1e-9]),
+    ]
     for sub_cell in _bottom_up(cell):
-        stream += _write_structure(sub_cell, technology)
-
-    stream += _record(_ENDLIB, _NO_DATA)
-    data = bytes(stream)
+        _write_structure(sub_cell, technology, parts)
+    parts.append(_record(_ENDLIB, _NO_DATA))
+    data = b"".join(parts)
     Path(path).write_bytes(data)
     return len(data)
 
@@ -177,48 +173,85 @@ def _bottom_up(cell: LayoutCell) -> List[LayoutCell]:
         if current.name in visited:
             return
         visited[current.name] = current
-        for instance in current.instances:
-            visit(instance.cell)
+        # Each distinct child once, in first-placement order.
+        for child in dict.fromkeys(instance.cell for instance in current.instances):
+            visit(child)
         ordered.append(current)
 
     visit(cell)
     return ordered
 
 
-def _write_structure(cell: LayoutCell, technology: Technology) -> bytes:
-    stream = bytearray()
-    stream += _record_int16(_BGNSTR, list(_TIMESTAMP) * 2)
-    stream += _record_ascii(_STRNAME, cell.name)
+#: The records that open and close every element.
+_BOUNDARY_RECORD = _record(_BOUNDARY, _NO_DATA)
+_SREF_RECORD = _record(_SREF, _NO_DATA)
+_ENDEL_RECORD = _record(_ENDEL, _NO_DATA)
+#: The XY record of a rectangle (its five corners) and of a reference
+#: (one point), each packed together with the ENDEL closing the element.
+_BOX_XY_ENDEL = struct.Struct(f">HBB10i{len(_ENDEL_RECORD)}s")
+_POINT_XY_ENDEL = struct.Struct(f">HBB2i{len(_ENDEL_RECORD)}s")
+_BOX_XY_LENGTH = 4 + 10 * 4
+_POINT_XY_LENGTH = 4 + 2 * 4
+
+
+def _write_structure(
+    cell: LayoutCell, technology: Technology, parts: List[bytes]
+) -> None:
+    """Append the records of one structure to ``parts``.
+
+    The records an element shares with every other element on its layer
+    (BOUNDARY/LAYER/DATATYPE) or of its (child, orientation)
+    (SREF/SNAME/STRANS/ANGLE) are encoded once per structure; each
+    element then costs one ``struct.pack`` of its coordinates.
+    """
+    parts.append(_record_int16(_BGNSTR, list(_TIMESTAMP) * 2))
+    parts.append(_record_ascii(_STRNAME, cell.name))
+    box_heads: Dict[str, bytes] = {}
+    pack_box = _BOX_XY_ENDEL.pack
     for shape in cell.shapes:
-        key = technology.layer_map.lookup(shape.layer)
-        if key is None:
-            raise LayoutError(f"layer {shape.layer!r} missing from layer map")
-        gds_layer, gds_datatype = key
+        head = box_heads.get(shape.layer)
+        if head is None:
+            key = technology.layer_map.lookup(shape.layer)
+            if key is None:
+                raise LayoutError(f"layer {shape.layer!r} missing from layer map")
+            gds_layer, gds_datatype = key
+            head = box_heads[shape.layer] = (
+                _BOUNDARY_RECORD
+                + _record_int16(_LAYER, [gds_layer])
+                + _record_int16(_DATATYPE, [gds_datatype])
+            )
         rect = shape.rect
-        points = [
-            rect.x_lo, rect.y_lo,
-            rect.x_hi, rect.y_lo,
-            rect.x_hi, rect.y_hi,
-            rect.x_lo, rect.y_hi,
-            rect.x_lo, rect.y_lo,
-        ]
-        stream += _record(_BOUNDARY, _NO_DATA)
-        stream += _record_int16(_LAYER, [gds_layer])
-        stream += _record_int16(_DATATYPE, [gds_datatype])
-        stream += _record_int32(_XY, points)
-        stream += _record(_ENDEL, _NO_DATA)
+        x_lo, y_lo, x_hi, y_hi = rect.x_lo, rect.y_lo, rect.x_hi, rect.y_hi
+        parts.append(head)
+        parts.append(pack_box(
+            _BOX_XY_LENGTH, _XY, _INT32,
+            x_lo, y_lo, x_hi, y_lo, x_hi, y_hi, x_lo, y_hi, x_lo, y_lo,
+            _ENDEL_RECORD,
+        ))
+    ref_heads: Dict[Tuple[str, Orientation], bytes] = {}
+    pack_point = _POINT_XY_ENDEL.pack
     for instance in cell.instances:
-        mirror, angle = _ORIENTATION_TO_GDS[instance.transform.orientation]
-        stream += _record(_SREF, _NO_DATA)
-        stream += _record_ascii(_SNAME, instance.cell.name)
-        if mirror or angle:
-            stream += _record_bitarray(_STRANS, 0x8000 if mirror else 0)
-            if angle:
-                stream += _record_real8(_ANGLE, [angle])
-        stream += _record_int32(_XY, [instance.transform.dx, instance.transform.dy])
-        stream += _record(_ENDEL, _NO_DATA)
-    stream += _record(_ENDSTR, _NO_DATA)
-    return bytes(stream)
+        transform = instance.transform
+        key = (instance.cell.name, transform.orientation)
+        head = ref_heads.get(key)
+        if head is None:
+            head = ref_heads[key] = _reference_head(*key)
+        parts.append(head)
+        parts.append(pack_point(
+            _POINT_XY_LENGTH, _XY, _INT32, transform.dx, transform.dy, _ENDEL_RECORD,
+        ))
+    parts.append(_record(_ENDSTR, _NO_DATA))
+
+
+def _reference_head(child_name: str, orientation: Orientation) -> bytes:
+    """SREF, SNAME and (when not R0) STRANS/ANGLE of one reference."""
+    mirror, angle = _ORIENTATION_TO_GDS[orientation]
+    head = _SREF_RECORD + _record_ascii(_SNAME, child_name)
+    if mirror or angle:
+        head += _record_bitarray(_STRANS, 0x8000 if mirror else 0)
+        if angle:
+            head += _record_real8(_ANGLE, [angle])
+    return head
 
 
 # ---------------------------------------------------------------------------

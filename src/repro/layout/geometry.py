@@ -227,6 +227,10 @@ class Transform:
 
     def apply_rect(self, rect: Rect) -> Rect:
         """Transform a rectangle (result is re-normalised axis-aligned)."""
+        if self.orientation is Orientation.R0:
+            # A pure translation keeps the corners in order.
+            dx, dy = self.dx, self.dy
+            return Rect(rect.x_lo + dx, rect.y_lo + dy, rect.x_hi + dx, rect.y_hi + dy)
         p1 = self.apply_point(Point(rect.x_lo, rect.y_lo))
         p2 = self.apply_point(Point(rect.x_hi, rect.y_hi))
         return Rect(p1.x, p1.y, p2.x, p2.y)

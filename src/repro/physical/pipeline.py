@@ -39,7 +39,7 @@ from repro.cells.library import CellLibrary, sar_controller_for
 from repro.layout.def_export import write_def
 from repro.layout.drc import check_own_level_shorts
 from repro.layout.gdsii import write_gds
-from repro.layout.geometry import Rect, Transform
+from repro.layout.geometry import Rect
 from repro.layout.layout import LayoutCell
 from repro.netlist.circuit import Circuit
 from repro.obs import MetricsRegistry, get_tracer
@@ -47,7 +47,7 @@ from repro.physical.artifacts import PipelineStats
 from repro.physical.macro_library import MacroLibrary, MacroRecord
 from repro.physical.netlist_builder import NetlistBuilder
 from repro.physical.templates import MacroTemplate
-from repro.placement.hierarchical import HierarchicalPlacer, MacroPlacement
+from repro.placement.hierarchical import HierarchicalPlacer
 from repro.placement.template import ColumnStackTemplate
 from repro.routing.hier_router import CellRoutePlans, HierarchicalRouter, LogicalNet
 from repro.routing.tracks import power_track_plan, sar_control_track_plan
@@ -484,35 +484,33 @@ class PhysicalPipeline:
         buffer_column_width = input_buffer.width
         bottom_row_height = output_buffer.height
 
-        # Input buffers: one per row, stacked on the left edge.
+        # Every box is a translate of one of three cell boxes, so each
+        # group's union comes from its cell box by offset arithmetic.
         boxes = [
-            macro.add_instance(
-                f"IBUF{row}", input_buffer,
-                Transform(0, bottom_row_height + row * input_buffer.height),
-            ).bounding_box()
-            for row in range(spec.height)
-        ]
-        # Columns side by side to the right of the buffer column: the
-        # solved column macro consumed as abutted instances (the positions
-        # a RowTemplate over equal-width cells produces), with the
-        # placer's overlap guard active.
-        boxes += self.placer.place_macro_instances(macro, [
-            MacroPlacement(
-                f"COL{col}", column,
-                Transform(
-                    buffer_column_width + col * column_bbox.width,
-                    bottom_row_height,
-                ),
-            )
-            for col in range(spec.width)
-        ]).values()
-        # Output buffers under each column.
-        boxes += [
-            macro.add_instance(
-                f"OBUF{col}", output_buffer,
-                Transform(buffer_column_width + col * column_bbox.width, 0),
-            ).bounding_box()
-            for col in range(spec.width)
+            # Input buffers: one per row, stacked on the left edge.
+            self.placer.place_macro_array(
+                macro, input_buffer,
+                [f"IBUF{row}" for row in range(spec.height)],
+                origin=(0, bottom_row_height), step=(0, input_buffer.height),
+                check_overlaps=False,
+            ),
+            # Columns side by side to the right of the buffer column: the
+            # solved column macro consumed as abutted instances (the
+            # positions a RowTemplate over equal-width cells produces),
+            # with the placer's overlap guard active.
+            self.placer.place_macro_array(
+                macro, column,
+                [f"COL{col}" for col in range(spec.width)],
+                origin=(buffer_column_width, bottom_row_height),
+                step=(column_bbox.width, 0),
+            ),
+            # Output buffers under each column.
+            self.placer.place_macro_array(
+                macro, output_buffer,
+                [f"OBUF{col}" for col in range(spec.width)],
+                origin=(buffer_column_width, 0), step=(column_bbox.width, 0),
+                check_overlaps=False,
+            ),
         ]
         bbox = Rect.bounding(box for box in boxes if box is not None)
         if bbox is None:

@@ -170,6 +170,56 @@ class HierarchicalPlacer:
             cell.add_instance(placement.name, placement.macro, placement.transform)
         return boxes
 
+    def place_macro_array(
+        self,
+        cell: LayoutCell,
+        macro: LayoutCell,
+        names: Sequence[str],
+        origin: Tuple[int, int],
+        step: Tuple[int, int],
+        check_overlaps: bool = True,
+    ) -> Optional[Rect]:
+        """Instantiate one solved macro along a regular line (R0).
+
+        Instance ``names[i]`` is placed at ``origin + i * step``: the
+        plan of :meth:`place_macro_instances` for a row or column of
+        equal macros, with the same instances, guard and errors, but
+        the boxes come from the macro's one box by offset arithmetic.
+        Two neighbours overlap exactly when the step is shorter than the
+        box along both axes; such a plan goes to
+        :meth:`ensure_no_overlaps`, which names the first overlapping pair.
+
+        Returns the union of the placed boxes (``None`` for no names).
+        """
+        if not names:
+            return None
+        bbox = macro.boundary or macro.bounding_box()
+        if bbox is None:
+            raise PlacementError(
+                f"macro placement {names[0]!r} references an "
+                f"empty cell {macro.name!r}"
+            )
+        (x0, y0), (step_x, step_y) = origin, step
+        transforms = [
+            Transform(x0 + i * step_x, y0 + i * step_y)
+            for i in range(len(names))
+        ]
+        if (
+            check_overlaps and len(names) > 1
+            and abs(step_x) < bbox.width and abs(step_y) < bbox.height
+        ):
+            self.ensure_no_overlaps({
+                name: transform.apply_rect(bbox)
+                for name, transform in zip(names, transforms)
+            })
+        for name, transform in zip(names, transforms):
+            cell.add_instance(name, macro, transform)
+        last_x, last_y = (len(names) - 1) * step_x, (len(names) - 1) * step_y
+        return Rect(
+            x0 + bbox.x_lo + min(0, last_x), y0 + bbox.y_lo + min(0, last_y),
+            x0 + bbox.x_hi + max(0, last_x), y0 + bbox.y_hi + max(0, last_y),
+        )
+
     @staticmethod
     def ensure_no_overlaps(boxes: Dict[str, Rect]) -> None:
         """Raise :class:`PlacementError` when any two boxes overlap.

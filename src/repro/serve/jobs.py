@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
 
@@ -67,6 +68,9 @@ class Job:
         self.cancel_event = threading.Event()
         self._events: List[dict] = []
         self._condition = threading.Condition()
+        #: Called with the job once its terminal state has landed (the
+        #: owning :class:`JobQueue` records finish order through it).
+        self.on_finish: Optional[Callable[["Job"], None]] = None
 
     # -- state ----------------------------------------------------------------
 
@@ -100,7 +104,7 @@ class Job:
         with self._condition:
             for name, value in fields.items():
                 setattr(self, name, value)
-            # ``finished_at`` first: the queue's eviction reads ``state``
+            # ``finished_at`` first: the queue's ``stats`` reads ``state``
             # without this lock, and a terminal state must never be seen
             # without its finish time.
             self.finished_at = time.time()
@@ -111,6 +115,8 @@ class Job:
                 "job_id": self.id,
             })
             self._condition.notify_all()
+        if self.on_finish is not None:
+            self.on_finish(self)
 
     def complete(self, result: dict) -> None:
         """Terminal success: attach the result envelope."""
@@ -174,6 +180,8 @@ class JobQueue:
         self._lock = threading.Condition()
         self._pending: List[Tuple[int, int, Job]] = []  # (-priority, seq, job)
         self._jobs: Dict[str, Job] = {}
+        # Finished jobs in finish order: eviction pops the front.
+        self._finished: Deque[Job] = deque()
         self._running_by_tenant: Dict[str, int] = {}
         self._seq = itertools.count()
         self._ids = itertools.count(1)
@@ -199,6 +207,9 @@ class JobQueue:
                 priority=priority,
                 stream=stream,
             )
+            # ``deque.append`` is atomic, so a worker thread finishing a
+            # job records it without taking the queue lock.
+            job.on_finish = self._finished.append
             self._jobs[job.id] = job
             self._pending.append((-int(priority), next(self._seq), job))
             self._evict_finished()
@@ -330,18 +341,9 @@ class JobQueue:
     def _evict_finished(self) -> None:
         """Drop the oldest finished jobs beyond the retention bound.
 
-        A job caught mid-finish (terminal ``state`` read before its
-        ``finished_at`` landed) is not yet a candidate: ranking it as the
-        oldest would evict the job a client is about to read.
+        Jobs enter the finish-order deque only once their terminal state
+        has landed, so live jobs and a job caught mid-finish are never
+        candidates; each eviction is one pop from the front.
         """
-        if len(self._jobs) <= self.retention:
-            return
-        finished = sorted(
-            (
-                job for job in self._jobs.values()
-                if job.finished and job.finished_at is not None
-            ),
-            key=lambda job: job.finished_at,
-        )
-        for job in finished[: len(self._jobs) - self.retention]:
-            self._jobs.pop(job.id, None)
+        while len(self._jobs) > self.retention and self._finished:
+            self._jobs.pop(self._finished.popleft().id, None)

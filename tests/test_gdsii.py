@@ -4,8 +4,15 @@ import struct
 
 import pytest
 
+import gdsii_reference
 from repro.errors import LayoutError
-from repro.layout.gdsii import read_gds, write_gds, _to_real8, _from_real8
+from repro.layout.gdsii import (
+    _from_real8,
+    _to_real8,
+    _write_structure,
+    read_gds,
+    write_gds,
+)
 from repro.layout.geometry import Orientation, Rect, Transform
 from repro.layout.layout import LayoutCell
 
@@ -96,3 +103,71 @@ class TestGdsRoundtrip:
         write_gds(original, path, technology)
         rebuilt = read_gds(path, technology)["sram8t"]
         assert len(rebuilt.shapes) == len(original.shapes)
+
+
+# ---------------------------------------------------------------------------
+# The packed writer against the record-by-record oracle
+# ---------------------------------------------------------------------------
+
+
+def _reference_cases():
+    """Top cells covering every orientation, several layers, children
+    placed many times, odd-length names and an empty cell."""
+    leaf = LayoutCell("leaf", boundary=Rect(0, 0, 1000, 500))
+    leaf.add_shape("M1", Rect(0, 0, 1000, 100))
+    leaf.add_shape("M2", Rect(200, 0, 300, 500))
+    leaf.add_pin("A", "M3", Rect(-50, -50, 50, 50))
+    odd = LayoutCell("odd")  # three characters: SNAME/STRNAME padding
+    odd.add_shape("M4", Rect(-700, 10, -300, 900))
+    odd.add_shape("M1", Rect(0, 0, 0, 40))  # degenerate marker
+    empty = LayoutCell("empty")
+    top = LayoutCell("mixed_top")
+    for layer in ("M1", "M2", "M3", "M4", "M5", "PRBOUND"):
+        top.add_shape(layer, Rect(0, 0, 40_000, 200))
+    for index, orientation in enumerate(Orientation):
+        top.add_instance(f"L{index}", leaf,
+                         Transform(1000 * index, -500 * index, orientation))
+        top.add_instance(f"O{index}", odd,
+                         Transform(-2**20 + index, 2**20, orientation))
+    for index in range(50):
+        top.add_instance(f"R{index}", leaf, Transform(1000 * index, 7000))
+        top.add_instance(f"E{index}", empty, Transform(0, index))
+    return {"mixed": top, "empty": empty, "leaf": leaf, "odd": odd}
+
+
+class TestPackedWriterMatchesReference:
+    @pytest.mark.parametrize("case", ["mixed", "empty", "leaf", "odd"])
+    def test_structure_bytes(self, case, technology):
+        cell = _reference_cases()[case]
+        parts = []
+        _write_structure(cell, technology, parts)
+        assert b"".join(parts) == gdsii_reference.write_structure(cell, technology)
+
+    @pytest.mark.parametrize("case", ["mixed", "empty", "leaf", "odd"])
+    def test_library_bytes(self, case, tmp_path, technology):
+        cell = _reference_cases()[case]
+        path = tmp_path / "packed.gds"
+        count = write_gds(cell, path, technology, library_name="LIB1")
+        expected = gdsii_reference.write_gds(cell, technology, library_name="LIB1")
+        assert path.read_bytes() == expected
+        assert count == len(expected)
+
+    def test_library_cell_hierarchy_bytes(self, tmp_path, technology, cell_library):
+        top = LayoutCell("cells")
+        for index, name in enumerate(("sram8t", "local_compute", "comparator")):
+            top.add_instance(f"I{index}", cell_library.layout(name),
+                             Transform(0, 10_000 * index, Orientation.MX))
+        path = tmp_path / "cells.gds"
+        write_gds(top, path, technology)
+        assert path.read_bytes() == gdsii_reference.write_gds(top, technology)
+
+    def test_unknown_layer_message_matches(self, tmp_path, technology):
+        cell = LayoutCell("bad")
+        cell.add_shape("M1", Rect(0, 0, 10, 10))
+        cell.add_shape("NOT_A_LAYER", Rect(0, 0, 10, 10))
+        with pytest.raises(LayoutError) as packed:
+            write_gds(cell, tmp_path / "bad.gds", technology)
+        with pytest.raises(LayoutError) as reference:
+            gdsii_reference.write_structure(cell, technology)
+        assert str(packed.value) == str(reference.value)
+        assert not (tmp_path / "bad.gds").exists()

@@ -111,6 +111,18 @@ class TestTransform:
         assert rotated.width == 5
         assert rotated.height == 10
 
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_rect_transform_equals_its_transformed_corners(self, orientation):
+        # R0 takes the translate-only path; every orientation must agree
+        # with transforming the two corners and re-normalising.
+        rects = (Rect(0, 0, 10, 5), Rect(-7, 3, 2, 3), Rect(-9, -9, -1, 40))
+        for dx, dy in ((0, 0), (13, -4), (-2**31 + 100, 2**30)):
+            transform = Transform(dx, dy, orientation)
+            for rect in rects:
+                lo = transform.apply_point(Point(rect.x_lo, rect.y_lo))
+                hi = transform.apply_point(Point(rect.x_hi, rect.y_hi))
+                assert transform.apply_rect(rect) == Rect(lo.x, lo.y, hi.x, hi.y)
+
     def test_compose_matches_sequential_application(self):
         inner = Transform(5, 7, Orientation.R90)
         outer = Transform(-3, 2, Orientation.MX)

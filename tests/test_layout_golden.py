@@ -114,3 +114,30 @@ class TestMacroKeyCompatibility:
             for record in pipeline.macro_library.macros()
         }
         assert solved == GOLDEN_MACROS
+
+
+#: The H16/W1024 macro of the distilled benchmark flow (``perfbench``'s
+#: ``flow`` workload), routed and exported by a fresh pipeline: full
+#: SHA-256 of the written files, recorded while the writers still encoded
+#: every record of every placed instance on its own.
+FLOW_MACRO_SPEC = ACIMDesignSpec(16, 1024, 2, 3)
+FLOW_MACRO_FILES = {
+    "gds": "cf769a48f6bc68fa48ab5802c5c43f82b671ac7603fa80045b35f976f59b8197",
+    "def": "acc40f8057100cfd55027e10734b6e70ee67d3b7f3f75260486a4f5350aad2bc",
+}
+
+
+class TestFlowMacroGolden:
+    def test_exported_files_are_byte_identical(self, cell_library, tmp_path):
+        result = PhysicalPipeline(cell_library).run(
+            FLOW_MACRO_SPEC, route_columns=True, output_dir=str(tmp_path),
+        )
+        report = result.report
+        assert report.layout.instance_count() == 16 + 2 * 1024
+        written = {
+            "gds": Path(report.gds_path).read_bytes(),
+            "def": Path(report.def_path).read_bytes(),
+        }
+        assert {
+            key: hashlib.sha256(data).hexdigest() for key, data in written.items()
+        } == FLOW_MACRO_FILES

@@ -20,7 +20,7 @@ from repro.errors import (
 )
 from repro.flow.controller import FlowInputs, _FlowCore
 from repro.layout.gdsii import write_gds
-from repro.layout.geometry import Rect, Transform
+from repro.layout.geometry import Point, Rect, Transform
 from repro.layout.layout import LayoutCell
 from repro.netlist.spice import write_spice
 from repro.obs import MetricsRegistry
@@ -399,6 +399,154 @@ class TestMacroInstancePlacement:
             MacroPlacement("B", macro, Transform(1000, 0)),
         ], check_overlaps=False)
         assert parent.instance_count() == 2
+
+
+def _array_plan(names, macro, origin, step):
+    """The :meth:`place_macro_array` plan as explicit macro placements."""
+    return [
+        MacroPlacement(
+            name, macro,
+            Transform(origin[0] + i * step[0], origin[1] + i * step[1]),
+        )
+        for i, name in enumerate(names)
+    ]
+
+
+def _instance_plan(cell):
+    return [(inst.name, inst.cell.name, inst.transform) for inst in cell.instances]
+
+
+class TestMacroArrayPlacement:
+    """``place_macro_array`` is ``place_macro_instances`` of a regular
+    line of one macro: the same instances, union box and guard."""
+
+    @pytest.mark.parametrize("origin, step", [
+        ((0, 0), (2000, 0)),       # abutted row
+        ((300, -40), (2500, 0)),   # spaced row
+        ((0, 0), (0, 1000)),       # abutted column
+        ((5000, 0), (-2000, 0)),   # row growing to the left
+        ((0, 0), (2000, 1000)),    # diagonal staircase
+    ])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_matches_explicit_placements(self, origin, step, count):
+        macro = _solved_macro()
+        names = [f"COL{i}" for i in range(count)]
+        array_parent = LayoutCell("array")
+        union = HierarchicalPlacer().place_macro_array(
+            array_parent, macro, names, origin=origin, step=step,
+        )
+        plan_parent = LayoutCell("plan")
+        boxes = HierarchicalPlacer().place_macro_instances(
+            plan_parent, _array_plan(names, macro, origin, step),
+        )
+        assert union == Rect.bounding(boxes.values())
+        assert _instance_plan(array_parent) == _instance_plan(plan_parent)
+
+    @pytest.mark.parametrize("step", [(1999, 0), (0, 0), (-1000, 0), (0, 999)])
+    def test_pitch_below_macro_size_raises(self, step):
+        macro = _solved_macro()
+        names = ["COL0", "COL1", "COL2"]
+        parent = LayoutCell("parent")
+        with pytest.raises(PlacementError) as array_error:
+            HierarchicalPlacer().place_macro_array(
+                parent, macro, names, origin=(100, 0), step=step,
+            )
+        assert parent.instance_count() == 0
+        with pytest.raises(PlacementError) as plan_error:
+            HierarchicalPlacer().place_macro_instances(
+                LayoutCell("plan"), _array_plan(names, macro, (100, 0), step),
+            )
+        assert str(array_error.value) == str(plan_error.value)
+        assert "overlap" in str(array_error.value)
+
+    def test_overlap_check_can_be_disabled(self):
+        parent = LayoutCell("parent")
+        HierarchicalPlacer().place_macro_array(
+            parent, _solved_macro(), ["A", "B"], origin=(0, 0), step=(1000, 0),
+            check_overlaps=False,
+        )
+        assert parent.instance_count() == 2
+
+    def test_empty_macro_raises_typed_error(self):
+        parent = LayoutCell("parent")
+        with pytest.raises(PlacementError, match="'E0'.*empty cell 'empty'"):
+            HierarchicalPlacer().place_macro_array(
+                parent, LayoutCell("empty"), ["E0", "E1"],
+                origin=(0, 0), step=(10, 0),
+            )
+        assert parent.instance_count() == 0
+
+    def test_no_names_places_nothing(self):
+        parent = LayoutCell("parent")
+        assert HierarchicalPlacer().place_macro_array(
+            parent, _solved_macro(), [], origin=(0, 0), step=(0, 0),
+        ) is None
+        assert parent.instance_count() == 0
+
+
+#: W = 1, H = L (one local array per column; past the spec's Equation-12
+#: check, which the builders do not run) and the four designs the
+#: distilled benchmark flow lays out.
+ASSEMBLY_SPECS = [
+    ACIMDesignSpec(16, 1, 4, 2),
+    ACIMDesignSpec(8, 4, 8, 2),
+    ACIMDesignSpec(16, 1024, 2, 3),
+    ACIMDesignSpec(32, 512, 2, 4),
+    ACIMDesignSpec(64, 256, 2, 4),
+    ACIMDesignSpec(64, 256, 2, 5),
+]
+
+
+def _placed_box(transform, box):
+    """A placed box corner by corner (the general ``apply_rect`` path)."""
+    corner_lo = transform.apply_point(Point(box.x_lo, box.y_lo))
+    corner_hi = transform.apply_point(Point(box.x_hi, box.y_hi))
+    return Rect(corner_lo.x, corner_lo.y, corner_hi.x, corner_hi.y)
+
+
+class TestMacroAssemblyArithmetic:
+    """``_build_macro`` computes its boxes by offset arithmetic; they must
+    equal the per-instance transform-and-bound they replaced."""
+
+    @pytest.fixture(scope="class")
+    def assembled(self, cell_library):
+        pipeline = PhysicalPipeline(cell_library)
+        macros = {}
+        for spec in ASSEMBLY_SPECS:
+            local, _ = pipeline._build_local_array(spec, route=False)
+            column, _ = pipeline._build_column(spec, local, route=False)
+            macros[spec] = (column, pipeline._build_macro(spec, column))
+        return cell_library, macros
+
+    @pytest.mark.parametrize("spec", ASSEMBLY_SPECS, ids=str)
+    def test_instance_transforms(self, assembled, spec):
+        library, macros = assembled
+        column, macro = macros[spec]
+        input_buffer = library.layout("input_buffer")
+        output_buffer = library.layout("output_buffer")
+        pitch = column.bounding_box().width
+        bottom = output_buffer.height
+        expected = (
+            [(f"IBUF{row}", Transform(0, bottom + row * input_buffer.height))
+             for row in range(spec.height)]
+            + [(f"COL{col}", Transform(input_buffer.width + col * pitch, bottom))
+               for col in range(spec.width)]
+            + [(f"OBUF{col}", Transform(input_buffer.width + col * pitch, 0))
+               for col in range(spec.width)]
+        )
+        assert [(inst.name, inst.transform) for inst in macro.instances] == expected
+
+    @pytest.mark.parametrize("spec", ASSEMBLY_SPECS, ids=str)
+    def test_boundary_is_the_bound_of_placed_boxes(self, assembled, spec):
+        _library, macros = assembled
+        _column, macro = macros[spec]
+        bbox = Rect.bounding(
+            _placed_box(inst.transform, inst.cell.boundary or inst.cell.bounding_box())
+            for inst in macro.instances
+        )
+        prbound = [shape.rect for shape in macro.shapes if shape.layer == "PRBOUND"]
+        assert prbound == [bbox]
+        assert macro.boundary == Rect.bounding(shape.rect for shape in macro.shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ against the shared engine, and graceful drain-and-shutdown.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -178,6 +179,75 @@ class TestJobQueue:
         assert queue.get(finishing.id) is finishing
         with pytest.raises(ServeError):
             queue.get(old.id)
+
+    def test_eviction_follows_finish_order_not_arrival(self):
+        queue = JobQueue(retention=2)
+        first = queue.submit("t", {"kind": "estimate"})
+        second = queue.submit("t", {"kind": "estimate"})
+        for _ in range(2):
+            queue.claim(timeout=0.1)
+        second.complete({})
+        queue.release(second)
+        first.fail({"code": "x"})
+        queue.release(first)
+        queue.submit("t", {"kind": "estimate"})
+        # ``second`` finished first, so it goes first.
+        with pytest.raises(ServeError):
+            queue.get(second.id)
+        assert queue.get(first.id) is first
+        queue.submit("t", {"kind": "estimate"})
+        with pytest.raises(ServeError):
+            queue.get(first.id)
+        assert queue.stats()["jobs_retained"] == 2
+
+    def test_live_jobs_stay_past_the_retention_bound(self):
+        queue = JobQueue(retention=1)
+        running = [queue.submit("t", {"kind": "estimate"}) for _ in range(2)]
+        for _ in range(2):
+            queue.claim(timeout=0.1)
+        queued = queue.submit("t", {"kind": "estimate"})
+        cancelled = queue.submit("t", {"kind": "estimate"})
+        queue.cancel(cancelled.id)  # a withdrawn queued job is finished
+        live = queue.submit("t", {"kind": "estimate"})
+        with pytest.raises(ServeError):
+            queue.get(cancelled.id)
+        for job in (*running, queued, live):
+            assert queue.get(job.id) is job
+        assert queue.stats()["jobs_retained"] == 4
+        running[1].complete({})
+        queue.release(running[1])
+        queue.submit("t", {"kind": "estimate"})
+        with pytest.raises(ServeError):
+            queue.get(running[1].id)
+        assert queue.get(running[0].id) is running[0]
+
+    def test_concurrent_finishes_are_all_evicted(self):
+        # Worker threads record finishes while submits evict: a lost
+        # finish record would leave a finished job retained for good.
+        queue = JobQueue(retention=8)
+        finishing = [queue.submit("t", {"kind": "estimate"}) for _ in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda part: [job.complete({}) for job in part],
+                    args=(finishing[index::4],),
+                )
+                for index in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            live = [queue.submit("t", {"kind": "estimate"}) for _ in range(400)]
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        live.append(queue.submit("t", {"kind": "estimate"}))
+        assert queue.stats()["jobs_retained"] == len(live)
+        for job in live:
+            assert queue.get(job.id) is job
 
     def test_finish_time_lands_before_terminal_state(self):
         seen = []
