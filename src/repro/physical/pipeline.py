@@ -485,19 +485,18 @@ class PhysicalPipeline:
         bottom_row_height = output_buffer.height
 
         # Every box is a translate of one of three cell boxes, so each
-        # group's union comes from its cell box by offset arithmetic.
+        # line's union comes from its cell box by offset arithmetic, and
+        # the placer's overlap guard checks each line arithmetically.
         boxes = [
             # Input buffers: one per row, stacked on the left edge.
             self.placer.place_macro_array(
                 macro, input_buffer,
                 [f"IBUF{row}" for row in range(spec.height)],
                 origin=(0, bottom_row_height), step=(0, input_buffer.height),
-                check_overlaps=False,
             ),
             # Columns side by side to the right of the buffer column: the
             # solved column macro consumed as abutted instances (the
-            # positions a RowTemplate over equal-width cells produces),
-            # with the placer's overlap guard active.
+            # positions a RowTemplate over equal-width cells produces).
             self.placer.place_macro_array(
                 macro, column,
                 [f"COL{col}" for col in range(spec.width)],
@@ -509,7 +508,6 @@ class PhysicalPipeline:
                 macro, output_buffer,
                 [f"OBUF{col}" for col in range(spec.width)],
                 origin=(buffer_column_width, 0), step=(column_bbox.width, 0),
-                check_overlaps=False,
             ),
         ]
         bbox = Rect.bounding(box for box in boxes if box is not None)

@@ -177,7 +177,6 @@ class HierarchicalPlacer:
         names: Sequence[str],
         origin: Tuple[int, int],
         step: Tuple[int, int],
-        check_overlaps: bool = True,
     ) -> Optional[Rect]:
         """Instantiate one solved macro along a regular line (R0).
 
@@ -205,7 +204,7 @@ class HierarchicalPlacer:
             for i in range(len(names))
         ]
         if (
-            check_overlaps and len(names) > 1
+            len(names) > 1
             and abs(step_x) < bbox.width and abs(step_y) < bbox.height
         ):
             self.ensure_no_overlaps({

@@ -23,7 +23,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
 
@@ -68,9 +68,6 @@ class Job:
         self.cancel_event = threading.Event()
         self._events: List[dict] = []
         self._condition = threading.Condition()
-        #: Called with the job once its terminal state has landed (the
-        #: owning :class:`JobQueue` records finish order through it).
-        self.on_finish: Optional[Callable[["Job"], None]] = None
 
     # -- state ----------------------------------------------------------------
 
@@ -115,8 +112,6 @@ class Job:
                 "job_id": self.id,
             })
             self._condition.notify_all()
-        if self.on_finish is not None:
-            self.on_finish(self)
 
     def complete(self, result: dict) -> None:
         """Terminal success: attach the result envelope."""
@@ -180,7 +175,8 @@ class JobQueue:
         self._lock = threading.Condition()
         self._pending: List[Tuple[int, int, Job]] = []  # (-priority, seq, job)
         self._jobs: Dict[str, Job] = {}
-        # Finished jobs in finish order: eviction pops the front.
+        # Finished jobs in the order the queue saw them finish (on
+        # release or on withdrawal): eviction pops the front.
         self._finished: Deque[Job] = deque()
         self._running_by_tenant: Dict[str, int] = {}
         self._seq = itertools.count()
@@ -207,9 +203,6 @@ class JobQueue:
                 priority=priority,
                 stream=stream,
             )
-            # ``deque.append`` is atomic, so a worker thread finishing a
-            # job records it without taking the queue lock.
-            job.on_finish = self._finished.append
             self._jobs[job.id] = job
             self._pending.append((-int(priority), next(self._seq), job))
             self._evict_finished()
@@ -268,6 +261,8 @@ class JobQueue:
     def release(self, job: Job) -> None:
         """Return a claimed job's tenant slot (the job is terminal now)."""
         with self._lock:
+            if job.finished:
+                self._finished.append(job)
             count = self._running_by_tenant.get(job.tenant, 0) - 1
             if count > 0:
                 self._running_by_tenant[job.tenant] = count
@@ -294,6 +289,7 @@ class JobQueue:
             if job.state == "queued":
                 job.cancel_event.set()
                 job.cancelled()
+                self._finished.append(job)
                 return {"state": job.state, "cancel_requested": True}
             if job.state == "running":
                 job.cancel_event.set()
@@ -341,9 +337,10 @@ class JobQueue:
     def _evict_finished(self) -> None:
         """Drop the oldest finished jobs beyond the retention bound.
 
-        Jobs enter the finish-order deque only once their terminal state
-        has landed, so live jobs and a job caught mid-finish are never
-        candidates; each eviction is one pop from the front.
+        Jobs enter the finish-order deque only when the queue sees them
+        finish (a released terminal job, a withdrawn queued one), so live
+        jobs and a job caught mid-finish are never candidates; each
+        eviction is one pop from the front.
         """
         while len(self._jobs) > self.retention and self._finished:
             self._jobs.pop(self._finished.popleft().id, None)

@@ -459,14 +459,6 @@ class TestMacroArrayPlacement:
         assert str(array_error.value) == str(plan_error.value)
         assert "overlap" in str(array_error.value)
 
-    def test_overlap_check_can_be_disabled(self):
-        parent = LayoutCell("parent")
-        HierarchicalPlacer().place_macro_array(
-            parent, _solved_macro(), ["A", "B"], origin=(0, 0), step=(1000, 0),
-            check_overlaps=False,
-        )
-        assert parent.instance_count() == 2
-
     def test_empty_macro_raises_typed_error(self):
         parent = LayoutCell("parent")
         with pytest.raises(PlacementError, match="'E0'.*empty cell 'empty'"):
