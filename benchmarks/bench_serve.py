@@ -7,8 +7,9 @@ closed-loop multi-tenant client fleet:
 
 1. **mixed load** — ``--clients`` threads (distinct tenants) each push a
    repeating estimate/query/library mix through ``POST /v1/submit`` and
-   poll to completion, >= 1000 requests total in the full run; sustained
-   throughput and client-observed p50/p99 latency are recorded;
+   follow each job's event stream to completion, >= 1000 requests total
+   in the full run; sustained throughput and client-observed p50/p99
+   latency are recorded;
 2. **streamed campaign** — one tenant runs a checkpointed campaign with
    generation-by-generation SSE streaming *concurrently with* the mixed
    load, and one mid-flight cancellation is exercised on a second
@@ -69,15 +70,14 @@ def mixed_request(index: int) -> dict:
 
 def client_loop(url: str, tenant: str, count: int,
                 latencies: list, failures: list) -> None:
-    """Closed loop: submit, poll to terminal, record client-side latency."""
+    """Closed loop: submit, wait to terminal, record client-side latency."""
     client = ServeClient(url)
     for index in range(count):
         request = mixed_request(index)
         start = time.perf_counter()
         try:
             accepted = client.submit(request, tenant=tenant)
-            final = client.wait(accepted["job_id"], timeout=120,
-                                poll_seconds=0.002)
+            final = client.wait(accepted["job_id"], timeout=120)
             if final["state"] != "done":
                 failures.append((tenant, index, final["state"]))
         except Exception as error:  # noqa: BLE001 - recorded, not raised

@@ -7,7 +7,8 @@ HTTP, worker pool, one shared file-backed session — and walks the whole
 wire surface with a :class:`~repro.serve.client.ServeClient`:
 
 1. every request kind of the typed catalogue submitted by HTTP as plain
-   JSON and polled to a healthy terminal state, across three tenants;
+   JSON and waited on (through its event stream) to a healthy terminal
+   state, across three tenants;
 2. an explore job and a batch of estimate jobs running concurrently on
    the one session: each estimate job's ``engine_stats["tasks"]`` must
    equal its own spec count (no other job's work counted);
@@ -20,7 +21,8 @@ wire surface with a :class:`~repro.serve.client.ServeClient`:
 5. structured rejections: unknown kind, an ill-typed field (a string
    where a number belongs), unknown job, and the 429 rate-limit
    envelope with its retry hint;
-6. ``/v1/metrics`` + ``/v1/healthz`` accounting, then a graceful
+6. ``/v1/metrics`` + ``/v1/healthz`` accounting (including the
+   ``serve.http.latency_seconds`` reply histogram), then a graceful
    drain-and-shutdown (queue refuses new work, in-flight jobs finish,
    the session closes).
 
@@ -200,6 +202,11 @@ def main() -> int:
         submitted = metrics["metrics"]["serve.jobs.submitted"]
         check(submitted >= len(MIXED_DOCUMENTS) + 3,
               f"submitted counter {submitted} too low")
+        # Every JSON reply is timed; streams and this reply are not.
+        replies = metrics["metrics"]["serve.http.latency_seconds"]["count"]
+        requests = metrics["metrics"]["serve.http.requests"]
+        check(0 < replies <= requests,
+              f"latency histogram counted {replies} of {requests} requests")
         health = client.healthz()
         check(health["status"] == "ok" and health["jobs"]["accepting"],
               f"unhealthy: {health}")
@@ -210,6 +217,8 @@ def main() -> int:
             check(False, "drained server accepted a job")
         except ServeError:
             pass
+        print(f"  metrics      {replies} JSON replies timed of {requests} "
+              "requests")
         print(f"  shutdown     drained cleanly after {submitted} jobs, "
               "session closed")
 

@@ -100,7 +100,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.technology.tech": ("Technology", "generic28"),
 })
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     # The typed public API (the supported entry point).

@@ -116,28 +116,27 @@ class ServeClient:
         """``GET /v1/healthz``."""
         return self._call("GET", "/v1/healthz")
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 60.0,
-        poll_seconds: float = 0.05,
-    ) -> dict:
-        """Poll ``/v1/jobs/<id>`` until the job reaches a terminal state.
+    def wait(self, job_id: str, timeout: float = 60.0) -> dict:
+        """Follow the job's event stream to its ``end`` event.
 
-        Returns the final status document; raises :class:`ServeError` on
-        timeout (the job keeps running server-side).
+        Returns the final status document (one ``GET /v1/jobs/<id>``
+        after the stream ends); raises :class:`ServeError` when the job
+        is not terminal ``timeout`` seconds from now, keep-alive comments
+        notwithstanding (the job keeps running server-side).
         """
         deadline = time.monotonic() + timeout
-        while True:
-            document = self.job(job_id)
-            if document["state"] in ("done", "failed", "cancelled"):
-                return document
-            if time.monotonic() >= deadline:
-                raise ServeError(
-                    f"job {job_id} still {document['state']!r} "
-                    f"after {timeout:g}s"
-                )
-            time.sleep(poll_seconds)
+        try:
+            for _ in self._follow(job_id, 0, timeout, deadline):
+                pass
+        except TimeoutError:
+            pass
+        document = self.job(job_id)
+        if document["state"] not in ("done", "failed", "cancelled"):
+            raise ServeError(
+                f"job {job_id} still {document['state']!r} "
+                f"after {timeout:g}s"
+            )
+        return document
 
     def run(
         self,
@@ -165,11 +164,39 @@ class ServeClient:
         the terminal ``end`` event arrives.  Keep-alive comments are
         consumed silently.
         """
+        return self._follow(job_id, after, timeout, None)
+
+    def _follow(
+        self,
+        job_id: str,
+        after: int,
+        timeout: float,
+        deadline: Optional[float],
+    ) -> Iterator[dict]:
+        """The SSE reader behind :meth:`stream` and :meth:`wait`.
+
+        ``timeout`` bounds each socket read; a ``deadline`` (a
+        ``time.monotonic()`` instant) also bounds the whole stream, so a
+        trickle of keep-alive comments cannot outlast it: past it the
+        reader raises :class:`TimeoutError`.
+        """
+
+        def remaining() -> float:
+            if deadline is None:
+                return timeout
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"stream of job {job_id} past its deadline")
+            return min(timeout, left)
+
         connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout
+            self.host, self.port, timeout=remaining()
         )
         try:
             connection.request("GET", f"/v1/stream/{job_id}?after={after}")
+            # The response takes the socket over once it reads the
+            # ``Connection: close`` header; keep a handle for timeouts.
+            sock = connection.sock
             response = connection.getresponse()
             if response.status != 200:
                 raw = response.read()
@@ -177,6 +204,7 @@ class ServeClient:
                 raise ServeHTTPError(response.status, document)
             fields: Dict[str, str] = {}
             while True:
+                sock.settimeout(remaining())
                 line = response.readline()
                 if not line:
                     return  # server closed the stream

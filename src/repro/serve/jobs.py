@@ -23,9 +23,12 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
+
+if TYPE_CHECKING:
+    from repro.api.requests import ApiRequest
 
 #: Lifecycle states of a job.  ``queued -> running -> done|failed|
 #: cancelled``; cancellation of a queued job skips ``running``.
@@ -44,6 +47,10 @@ class Job:
         request: the validated request dictionary (``kind`` + fields).
         priority: larger runs earlier (ties: arrival order).
         stream: whether progress events should be recorded for streaming.
+        parsed: the typed request ``request`` was serialized from, which
+            the executor runs without parsing the dictionary again; it is
+            dropped when the job finishes, so a retained job keeps only
+            the dictionary.
     """
 
     def __init__(
@@ -53,10 +60,12 @@ class Job:
         request: dict,
         priority: int = 0,
         stream: bool = False,
+        parsed: Optional[ApiRequest] = None,
     ) -> None:
         self.id = job_id
         self.tenant = tenant
         self.request = request
+        self.parsed = parsed
         self.priority = priority
         self.stream = stream
         self.state = "queued"
@@ -101,6 +110,7 @@ class Job:
         with self._condition:
             for name, value in fields.items():
                 setattr(self, name, value)
+            self.parsed = None
             # ``finished_at`` first: the queue's ``stats`` reads ``state``
             # without this lock, and a terminal state must never be seen
             # without its finish time.
@@ -191,6 +201,7 @@ class JobQueue:
         request: dict,
         priority: int = 0,
         stream: bool = False,
+        parsed: Optional[ApiRequest] = None,
     ) -> Job:
         """Enqueue one request; returns the queued :class:`Job`."""
         with self._lock:
@@ -202,6 +213,7 @@ class JobQueue:
                 request,
                 priority=priority,
                 stream=stream,
+                parsed=parsed,
             )
             self._jobs[job.id] = job
             self._pending.append((-int(priority), next(self._seq), job))

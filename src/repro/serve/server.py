@@ -60,7 +60,7 @@ from repro.errors import (
     ServeError,
     http_status_of,
 )
-from repro.obs import get_tracer
+from repro.obs import MetricsRegistry, get_tracer
 from repro.serve.jobs import DEFAULT_MAX_PER_TENANT, Job, JobQueue
 from repro.serve.ratelimit import TenantRateLimiter
 
@@ -69,6 +69,12 @@ STREAM_KEEPALIVE_SECONDS = 5.0
 
 #: Tenant used when a submission names none.
 DEFAULT_TENANT = "default"
+
+#: Bucket bounds (seconds) of ``serve.http.latency_seconds``: a JSON
+#: reply takes a fraction of a millisecond to a few milliseconds.
+HTTP_LATENCY_BUCKETS = (
+    0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.25, 1.0
+)
 
 
 @dataclass(frozen=True)
@@ -226,6 +232,13 @@ class ReproServer:
         self._m_cancelled = self.metrics.counter("serve.jobs.cancelled")
         self._m_rate_limited = self.metrics.counter("serve.rate_limited")
         self._m_http = self.metrics.counter("serve.http.requests")
+        # Reply latency lives in a registry of its own: every instrument
+        # of the session's registry is a (zero) entry in every job's
+        # ``ApiResult.metrics``, and jobs never record this one.
+        self._http_metrics = MetricsRegistry()
+        self._m_http_seconds = self._http_metrics.histogram(
+            "serve.http.latency_seconds", HTTP_LATENCY_BUCKETS
+        )
         self._m_job_seconds = self.metrics.histogram("serve.job.seconds")
         self._m_wait_seconds = self.metrics.histogram("serve.queue.wait_seconds")
         self._m_generations = self.metrics.counter("serve.stream.generations")
@@ -363,7 +376,8 @@ class ReproServer:
         # error synchronously.
         validated = request_from_dict(request)
         job = self.queue.submit(
-            tenant, validated.to_dict(), priority=priority, stream=stream
+            tenant, validated.to_dict(), priority=priority, stream=stream,
+            parsed=validated,
         )
         self._m_submitted.inc()
         return job
@@ -409,7 +423,7 @@ class ReproServer:
                         "job_id": job.id,
                         "kind": job.request.get("kind"),
                     })
-                request = request_from_dict(job.request)
+                request = job.parsed
                 if (
                     isinstance(request, CampaignRequest)
                     and request.stop_after is None
@@ -502,7 +516,9 @@ class ReproServer:
                 },
             },
             "engine_stats": self.session.engine.stats.as_dict(),
-            "metrics": self.metrics.snapshot(),
+            "metrics": {
+                **self.metrics.snapshot(), **self._http_metrics.snapshot()
+            },
         }
 
 
@@ -521,13 +537,20 @@ def _make_handler(app: ReproServer):
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
             pass  # metrics, not stderr, carry request accounting
 
+        def _begin(self) -> None:
+            """Count the request and start its latency clock."""
+            self._started = time.perf_counter()
+            app._m_http.inc()
+
         def _send_json(
             self,
             status: int,
             document: dict,
             extra_headers: Tuple[Tuple[str, str], ...] = (),
         ) -> None:
-            body = json.dumps(document, indent=2).encode("utf-8") + b"\n"
+            # Compact: ``json.dumps`` takes its C encoder only when
+            # ``indent`` is None.
+            body = json.dumps(document).encode("utf-8") + b"\n"
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -535,6 +558,7 @@ def _make_handler(app: ReproServer):
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
+            app._m_http_seconds.observe(time.perf_counter() - self._started)
 
         def _send_error_envelope(self, kind: str, error: BaseException) -> None:
             headers: Tuple[Tuple[str, str], ...] = ()
@@ -565,7 +589,7 @@ def _make_handler(app: ReproServer):
         # -- routing ------------------------------------------------------
 
         def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-            app._m_http.inc()
+            self._begin()
             parsed = urlparse(self.path)
             parts = [p for p in parsed.path.split("/") if p]
             try:
@@ -587,7 +611,7 @@ def _make_handler(app: ReproServer):
                 self._send_error_envelope("http", error)
 
         def do_POST(self) -> None:  # noqa: N802 - stdlib casing
-            app._m_http.inc()
+            self._begin()
             parsed = urlparse(self.path)
             parts = [p for p in parsed.path.split("/") if p]
             try:
@@ -627,7 +651,7 @@ def _make_handler(app: ReproServer):
                 self._send_error_envelope("http", error)
 
         def do_DELETE(self) -> None:  # noqa: N802 - stdlib casing
-            app._m_http.inc()
+            self._begin()
             parts = [p for p in urlparse(self.path).path.split("/") if p]
             try:
                 if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:

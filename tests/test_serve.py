@@ -12,11 +12,13 @@ against the shared engine, and graceful drain-and-shutdown.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 
 import pytest
 
+import repro.serve.server as server_module
 from repro.api import (
     CampaignRequest,
     EstimateRequest,
@@ -495,6 +497,128 @@ class TestStreaming:
         events = client.stream_events(accepted["job_id"])
         assert [e["event"] for e in events] == ["start", "end"]
         assert events[-1]["state"] == "done"
+
+
+class TestWire:
+    """Compact replies, the stream-following ``wait`` and the latency
+    histogram."""
+
+    def test_job_reply_is_compact_json(self, client, server):
+        job_id = client.run({"kind": "estimate"})["id"]
+        connection = http.client.HTTPConnection(server.config.host, server.port)
+        try:
+            connection.request("GET", f"/v1/jobs/{job_id}")
+            response = connection.getresponse()
+            body = response.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert response.getheader("Content-Type") == "application/json"
+        assert int(response.getheader("Content-Length")) == len(body)
+        assert body == json.dumps(json.loads(body)).encode() + b"\n"
+        result = json.loads(body)["result"]
+        with Session() as session:
+            twin = json.loads(json.dumps(
+                session.submit(EstimateRequest()).to_dict()
+            ))
+        # Timings, trace ids and cache counters differ between the two
+        # sessions; what the request computed must not, float reprs
+        # included.
+        assert set(result) == set(twin)
+        for key in ("kind", "status", "payload", "warnings"):
+            assert result[key] == twin[key]
+
+    def test_wait_on_finished_job_is_one_stream_and_one_job_get(
+        self, client
+    ):
+        job_id = client.submit({"kind": "estimate"})["job_id"]
+        client.stream_events(job_id)  # the job is finished now
+        before = client.metrics()["metrics"]["serve.http.requests"]
+        assert client.wait(job_id)["state"] == "done"
+        after = client.metrics()["metrics"]["serve.http.requests"]
+        # A metrics snapshot counts its own request: the stream and the
+        # job GET of ``wait``, then the second metrics GET.
+        assert after - before == 3
+
+    def test_wait_times_out_on_a_queued_job(self, monkeypatch):
+        # Keep-alive comments every 50 ms must not extend the deadline.
+        monkeypatch.setattr(server_module, "STREAM_KEEPALIVE_SECONDS", 0.05)
+        server = ReproServer(
+            ServerConfig(port=0, workers=2, max_per_tenant=1)
+        ).start()
+        try:
+            client = ServeClient(server.url)
+            # The layout job blocks on the physical lock the test holds,
+            # so the tenant's estimate stays queued behind its cap.
+            with server._physical_lock:
+                blocker = client.submit(
+                    {"kind": "layout", "route_columns": False}
+                )
+                queued = client.submit({"kind": "estimate"})
+                # Should ``wait`` overrun its deadline, this cancel ends
+                # the stream and the missing raise fails the test.
+                rescue = threading.Timer(
+                    30.0, client.cancel, (queued["job_id"],)
+                )
+                rescue.start()
+                try:
+                    with pytest.raises(ServeError, match="still 'queued'"):
+                        client.wait(queued["job_id"], timeout=0.3)
+                finally:
+                    rescue.cancel()
+                assert client.job(queued["job_id"])["state"] == "queued"
+            assert client.wait(blocker["job_id"])["state"] == "done"
+            assert client.wait(queued["job_id"])["state"] == "done"
+        finally:
+            server.shutdown()
+
+    def test_latency_histogram_counts_json_replies_not_streams(
+        self, client, server
+    ):
+        done = client.run({"kind": "estimate"})
+        job_id = done["id"]
+        # Jobs never record it, so it is no entry of their envelopes.
+        assert "serve.http.latency_seconds" not in done["result"]["metrics"]
+        # One kept-alive connection: the server handles its requests in
+        # order, so each reply is observed before the next one is read.
+        connection = http.client.HTTPConnection(server.config.host, server.port)
+
+        def get(path: str) -> dict:
+            connection.request("GET", path)
+            return json.loads(connection.getresponse().read())
+
+        try:
+            first = get("/v1/metrics")["metrics"]
+            client.stream_events(job_id)
+            get(f"/v1/jobs/{job_id}")
+            get("/v1/healthz")
+            second = get("/v1/metrics")["metrics"]
+        finally:
+            connection.close()
+        # A snapshot counts its own request but not its own reply.
+        assert (
+            second["serve.http.requests"] - first["serve.http.requests"]
+            == 4  # stream, job, healthz, metrics
+        )
+        latency_first = first["serve.http.latency_seconds"]
+        latency_second = second["serve.http.latency_seconds"]
+        assert latency_second["count"] - latency_first["count"] == 3
+        assert latency_second["sum"] > latency_first["sum"]
+        assert sum(n for _, n in latency_second["buckets"]) == (
+            latency_second["count"]
+        )
+
+    def test_submitted_request_is_parsed_once(self, client, monkeypatch):
+        calls = []
+        parse = server_module.request_from_dict
+
+        def counting(document):
+            calls.append(document["kind"])
+            return parse(document)
+
+        monkeypatch.setattr(server_module, "request_from_dict", counting)
+        assert client.run({"kind": "estimate"})["state"] == "done"
+        assert calls == ["estimate"]
 
 
 class TestCancellation:
